@@ -16,16 +16,10 @@ from pathlib import Path
 
 from .cases import even_ascending_stream, even_reordered_stream
 from .generalize import AlreadyCovered, SaturationPolicy, lgg_clauses, saturate
-from .learner import (
-    LearnerConfig,
-    StageBudgetExceeded,
-    StageRecord,
-    System,
-    run_stream,
-)
+from .learner import StageBudgetExceeded, StageRecord, System, config_for_stream, run_stream
 from .limits import Verdict, convergence_report, default_window
 from .logic import ExampleStream, HornProgram, literal_depth
-from .metric import is_simple_program, priority_precedes, term_distance
+from .metric import priority_precedes, term_distance
 from .semantics import default_depth_bound, least_model_bounded
 from .subsumption import program_variant_equal
 from .syntax import (
@@ -51,10 +45,6 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}", 0, 0) from exc
-
-
-def _policy(name: str) -> SaturationPolicy:
-    return SaturationPolicy.PAPER_TRACE if name == "paper" else SaturationPolicy.GROUND_ATOMS
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +84,7 @@ def cmd_rlgg(args: argparse.Namespace) -> int:
         )
         depth = default_depth_bound(deepest)
     try:
-        clauses = saturate(background, example, _policy(args.policy), depth)
+        clauses = saturate(background, example, SaturationPolicy(args.policy), depth)
     except AlreadyCovered as exc:
         print(f"% {exc}")
         return EXIT_OK
@@ -126,39 +116,19 @@ def cmd_model(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _record_json(rec: StageRecord) -> dict:
-    return {
-        "stage": rec.stage,
-        "example": render_literal(rec.example),
-        "action": rec.action_text(),
-        "program": render_program(rec.program),
-        "simple": rec.simple,
-    }
-
-
 def _write_trace(records: list[StageRecord], path: str) -> None:
-    lines = [json.dumps(_record_json(r), sort_keys=False) for r in records]
+    lines = [json.dumps(r.to_json_dict()) for r in records]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _run_configured(
-    stream: ExampleStream, args: argparse.Namespace, background: HornProgram
-) -> tuple[list[StageRecord], LearnerConfig]:
-    depth = args.depth if args.depth is not None else default_depth_bound(stream.max_depth())
-    cfg = LearnerConfig(
-        system=System(args.system),
-        policy=_policy(args.policy),
-        depth_bound=depth,
-        max_stages=args.stages,
-    )
-    return run_stream(stream, cfg, background), cfg
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
     stream = parse_example_stream(_read(args.examples))
     background = parse_program(_read(args.background)) if args.background else HornProgram()
+    cfg = config_for_stream(
+        stream, System(args.system), SaturationPolicy(args.policy), args.depth, args.stages
+    )
     try:
-        records, cfg = _run_configured(stream, args, background)
+        records = run_stream(stream, cfg, background)
     except StageBudgetExceeded as exc:
         if args.trace:
             _write_trace(exc.records, args.trace)
@@ -195,32 +165,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def _load_trace(path: str) -> list[StageRecord]:
     """Rebuild stage records from a trace file (canonical program text)."""
-    from .learner import Action
-
-    records = []
-    for line in _read(path).splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        action_text = obj["action"]
-        if action_text.startswith("restarted"):
-            action = Action.RESTARTED
-            frm = int(action_text.partition("(")[2].rstrip(")")) if "(" in action_text else None
-        else:
-            action = Action(action_text)
-            frm = None
-        program = parse_program(obj["program"])
-        records.append(
-            StageRecord(
-                stage=obj["stage"],
-                example=parse_atom(obj["example"]),
-                action=action,
-                restarted_from=frm,
-                program=program,
-                simple=obj.get("simple", is_simple_program(program)),
-            )
-        )
-    return records
+    return [
+        StageRecord.from_json_dict(json.loads(line))
+        for line in _read(path).splitlines()
+        if line.strip()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +187,7 @@ def _check_trace_against_golden(records: list[StageRecord], golden_name: str) ->
     """None if the trace matches the committed fixture; otherwise a message
     naming the first differing stage."""
     golden_lines = [l for l in _golden_text(golden_name).splitlines() if l.strip()]
-    actual_lines = [json.dumps(_record_json(r), sort_keys=False) for r in records]
+    actual_lines = [json.dumps(r.to_json_dict()) for r in records]
     if len(golden_lines) != len(actual_lines):
         return f"stage count differs: expected {len(golden_lines)}, got {len(actual_lines)}"
     for i, (want, got) in enumerate(zip(golden_lines, actual_lines)):
@@ -256,12 +205,7 @@ def _reproduce_trace_case(
     report_depth: int | None = None,
     window: int | None = None,
 ) -> int:
-    cfg = LearnerConfig(
-        system=system,
-        policy=SaturationPolicy.PAPER_TRACE,
-        depth_bound=default_depth_bound(stream.max_depth()),
-        max_stages=len(stream),
-    )
+    cfg = config_for_stream(stream, system, max_stages=len(stream))
     records = run_stream(stream, cfg)
     _write_trace(records, str(outdir / f"{name}.trace.jsonl"))
 
@@ -356,12 +300,7 @@ def _reproduce_pgolem_fix(outdir: Path) -> int:
         ("ascending", even_ascending_stream(11)),
         ("reordered", even_reordered_stream(12)),
     ):
-        cfg = LearnerConfig(
-            system=System.PRIORITIZED_GOLEM,
-            policy=SaturationPolicy.PAPER_TRACE,
-            depth_bound=default_depth_bound(stream.max_depth()),
-            max_stages=len(stream),
-        )
+        cfg = config_for_stream(stream, System.PRIORITIZED_GOLEM, max_stages=len(stream))
         records = run_stream(stream, cfg)
         _write_trace(records, str(outdir / f"pgolem-fix.{name}.trace.jsonl"))
         report = convergence_report(
@@ -409,12 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hornlearn",
         description="Incremental Horn-program learners with bounded-model "
         "semantics and limit analysis.",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed recorded for randomized corpora (all shipped subcommands are deterministic)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -27,7 +27,7 @@ from .logic import (
 from .metric import clause_distance
 from .semantics import is_covered, least_model_bounded
 from .subsumption import reduce_clause, theta_subsumes
-from .syntax import render_clause, render_literal
+from .syntax import literal_order, render_clause, render_literal
 
 
 class PairTable:
@@ -103,8 +103,8 @@ def lgg_clauses(c: Clause, d: Clause, table: PairTable | None = None) -> Clause:
         table = PairTable()
     table.reserve(_reserved_names(c, d))
     out = []
-    for l in sorted(c.literals, key=_literal_order):
-        for m in sorted(d.literals, key=_literal_order):
+    for l in sorted(c.literals, key=literal_order):
+        for m in sorted(d.literals, key=literal_order):
             g = lgg_literals(l, m, table)
             if g is not None:
                 out.append(g)
@@ -114,14 +114,6 @@ def lgg_clauses(c: Clause, d: Clause, table: PairTable | None = None) -> Clause:
     return reduce_clause(result)
 
 
-def _literal_order(l: Literal) -> tuple[bool, str]:
-    return (not l.positive, render_literal(l))
-
-
-def _clause_order(c: Clause) -> str:
-    return render_clause(c)
-
-
 def lgg_clause_sets(
     a: frozenset[Clause] | set[Clause], b: frozenset[Clause] | set[Clause]
 ) -> frozenset[Clause]:
@@ -129,9 +121,9 @@ def lgg_clause_sets(
     the first in canonical order) and keep the nonempty lggs."""
     if not a or not b:
         raise ValueError("lgg over clause sets requires nonempty inputs")
-    b_sorted = sorted(b, key=_clause_order)
+    b_sorted = sorted(b, key=render_clause)
     out = set()
-    for c in sorted(a, key=_clause_order):
+    for c in sorted(a, key=render_clause):
         nearest = min(b_sorted, key=lambda d: clause_distance(c, d))
         g = lgg_clauses(c, nearest)
         if g.literals:
@@ -181,14 +173,14 @@ def saturate(
         model = least_model_bounded(background, depth_bound)
         return frozenset((Clause([q.negated() for q in model.atoms] + [e]),))
 
-    rules = sorted(background.rules, key=_clause_order)
+    rules = sorted(background.rules, key=render_clause)
     if not rules:
-        body = [c.head.negated() for c in sorted(background.facts, key=_clause_order)]
+        body = [c.head.negated() for c in sorted(background.facts, key=render_clause)]
         return frozenset((Clause(body + [e]),))
 
     # ~(R1 ∧ R2 ∧ ...) ∨ e in clause normal form: one clause per choice of a
     # negated literal from each rule, tautologies dropped.
-    choice_sets = [[lit.negated() for lit in sorted(r.literals, key=_literal_order)] for r in rules]
+    choice_sets = [[lit.negated() for lit in sorted(r.literals, key=literal_order)] for r in rules]
     clauses = set()
     for choice in product(*choice_sets):
         clause = Clause(list(choice) + [e])
@@ -205,7 +197,7 @@ def reduce_program(p: HornProgram, depth_bound: int) -> HornProgram:
     clauses = set(p.clauses)
     signature = p.signature()  # removals must not shrink the term language
     while True:
-        ordered = sorted(clauses, key=lambda c: (-len(c.literals), _clause_order(c)))
+        ordered = sorted(clauses, key=lambda c: (-len(c.literals), render_clause(c)))
         removed = None
         for c in ordered:
             rest = clauses - {c}

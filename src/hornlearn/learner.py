@@ -47,11 +47,16 @@ from .logic import (
     Literal,
     fact,
     literal_subterms,
-    literal_variables,
 )
 from .metric import is_simple_program, priority_precedes
 from .semantics import default_depth_bound, is_covered
-from .syntax import render_clause, render_literal
+from .syntax import (
+    parse_atom,
+    parse_program,
+    render_clause,
+    render_literal,
+    render_program,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -89,6 +94,36 @@ class StageRecord:
             return f"restarted({self.restarted_from})"
         return self.action.value
 
+    def to_json_dict(self) -> dict:
+        """One trace line; the program is its canonical text."""
+        return {
+            "stage": self.stage,
+            "example": render_literal(self.example),
+            "action": self.action_text(),
+            "program": render_program(self.program),
+            "simple": self.simple,
+        }
+
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> "StageRecord":
+        """Inverse of to_json_dict; `simple` is recomputed when absent."""
+        action_text = obj["action"]
+        if action_text.startswith("restarted"):
+            action = Action.RESTARTED
+            frm = int(action_text.partition("(")[2].rstrip(")")) if "(" in action_text else None
+        else:
+            action = Action(action_text)
+            frm = None
+        program = parse_program(obj["program"])
+        return cls(
+            stage=obj["stage"],
+            example=parse_atom(obj["example"]),
+            action=action,
+            restarted_from=frm,
+            program=program,
+            simple=obj.get("simple", is_simple_program(program)),
+        )
+
 
 class StageBudgetExceeded(Exception):
     """More arrivals than the stage budget; carries the partial trace."""
@@ -101,21 +136,13 @@ class StageBudgetExceeded(Exception):
         self.remaining = remaining
 
 
-def _range_restricted(c: Clause) -> bool:
-    """Head variables must all occur in the body (facts qualify vacuously)."""
-    body_vars = set()
-    for b in c.body:
-        body_vars |= literal_variables(b)
-    return literal_variables(c.head) <= body_vars
-
-
 def _keep_learned(clauses: frozenset[Clause]) -> set[Clause]:
     kept = set()
     for c in sorted(clauses, key=render_clause):
         if not c.is_definite:
             logger.debug("dropping non-definite generalization: %s", render_clause(c))
             continue
-        if not _range_restricted(c):
+        if not c.range_restricted:
             logger.debug("dropping non-range-restricted generalization: %s", render_clause(c))
             continue
         kept.add(c)

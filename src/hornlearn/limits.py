@@ -145,19 +145,16 @@ def convergence_report(
     liminf, limsup = window_limits(snapshots, w)
     first_stage = trace[-w].stage
 
-    occurrences: dict[str, list[tuple[int, int]]] = {}
-    for c in limsup:
-        key = clause_key(c)
-        present = [
-            any(clause_key(d) == key for d in prog) for prog in snapshots[-w:]
-        ]
-        occurrences[key] = _occurrence_intervals(present, first_stage)
-
     window_keysets = [{clause_key(c) for c in prog} for prog in snapshots[-w:]]
+    occurrences = {
+        key: _occurrence_intervals([key in ks for ks in window_keysets], first_stage)
+        for key in set().union(*window_keysets)
+    }
+
     if all(ks == window_keysets[0] for ks in window_keysets):
         verdict = Verdict.STABLE
     else:
-        liminf_keys = {clause_key(c) for c in liminf}
+        liminf_keys = set.intersection(*window_keysets)
         transients = [k for k in occurrences if k not in liminf_keys]
         if all(len(occurrences[k]) <= 1 for k in transients):
             verdict = Verdict.CONVERGENT_MODULO_TRANSIENTS

@@ -35,7 +35,6 @@ class Fn:
 Term = Var | Fn
 
 Substitution = Mapping[Var, Term]
-EMPTY_SUBSTITUTION: Substitution = {}
 
 
 def const(name: str) -> Fn:
@@ -56,6 +55,18 @@ def subterms(t: Term) -> frozenset[Term]:
     if isinstance(t, Fn):
         for a in t.args:
             out |= subterms(a)
+    return frozenset(out)
+
+
+def term_signature(terms: Iterable[Term]) -> frozenset[tuple[str, int]]:
+    """Functor symbols (name, arity) occurring anywhere in the terms."""
+    out: set[tuple[str, int]] = set()
+    stack = list(terms)
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Fn):
+            out.add((t.functor, t.arity))
+            stack.extend(t.args)
     return frozenset(out)
 
 
@@ -203,8 +214,14 @@ class Clause:
     def is_unit(self) -> bool:
         return len(self.literals) == 1
 
-    def is_ground(self) -> bool:
-        return all(is_ground_literal(l) for l in self.literals)
+    @property
+    def range_restricted(self) -> bool:
+        """Every head variable occurs in the body (facts qualify vacuously).
+        Defined for definite clauses only."""
+        body_vars: set[Var] = set()
+        for b in self.body:
+            body_vars |= literal_variables(b)
+        return literal_variables(self.head) <= body_vars
 
     def variables(self) -> frozenset[Var]:
         out: set[Var] = set()
@@ -267,19 +284,7 @@ class HornProgram:
 
     def signature(self) -> frozenset[tuple[str, int]]:
         """Functor symbols (name, arity) occurring in the program's terms."""
-        out: set[tuple[str, int]] = set()
-
-        def walk(t: Term) -> None:
-            if isinstance(t, Fn):
-                out.add((t.functor, t.arity))
-                for a in t.args:
-                    walk(a)
-
-        for c in self.clauses:
-            for l in c.literals:
-                for a in l.args:
-                    walk(a)
-        return frozenset(out)
+        return term_signature(a for c in self.clauses for l in c.literals for a in l.args)
 
 
 EMPTY_PROGRAM = HornProgram()

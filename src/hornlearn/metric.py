@@ -72,7 +72,3 @@ def is_simple(c: Clause) -> bool:
 
 def is_simple_program(p: HornProgram) -> bool:
     return all(is_simple(c) for c in p)
-
-
-def format_distance(d: Distance) -> str:
-    return str(d)

@@ -10,6 +10,14 @@ model, because no derivation of a shallow atom needs a deeper premise.
 Rule heads whose instantiated depth exceeds the bound are silently not
 derived (frontier truncation), which keeps the model well-defined as the
 depth-<=D fragment.
+
+Clauses that are not range-restricted (a head variable missing from the
+body, as in the unit clause r(Y).) are grounded by enumerating the bounded
+universe over the program's signature, widened by the examples' symbols in
+`covers`. Learned programs never need this fallback, but user programs
+(`hornlearn model --program` on r(Y). r(a).) and the random simple programs
+that the acceptance tests compare against a naive oracle do, so it stays;
+_UNIVERSE_CAP keeps its cost bounded.
 """
 
 from __future__ import annotations
@@ -29,12 +37,11 @@ from .logic import (
     is_ground_literal,
     literal_depth,
     literal_variables,
+    term_signature,
 )
 from .subsumption import match_literals
 from .syntax import render_literal, render_term
 
-# Universe enumeration is only a fallback for clauses whose head variables are
-# not all bound by the body; learned programs never need it.
 _UNIVERSE_CAP = 200_000
 
 
@@ -87,29 +94,22 @@ def bounded_universe(
     return frozenset(all_terms)
 
 
-def _unbound_head_vars(clause: Clause) -> frozenset[Var]:
-    body_vars: set[Var] = set()
-    for b in clause.body:
-        body_vars |= literal_variables(b)
-    return literal_variables(clause.head) - body_vars
-
-
 def _universe_for(
     p: HornProgram,
     depth_bound: int,
     signature: frozenset[tuple[str, int]] | None = None,
-) -> frozenset[Term] | None:
-    """A materialized universe is needed only when some head variable is not
-    bound by its body; learned programs are range-restricted and skip this.
+) -> frozenset[Term]:
+    """The universe that grounds head variables not bound by their body;
+    empty when every clause is range-restricted, as learned programs are.
     An explicit signature widens the term language beyond the program's own
     symbols (the ambient language is fixed, not per-program)."""
-    if not any(_unbound_head_vars(c) for c in p):
-        return None
+    if all(c.range_restricted for c in p):
+        return frozenset()
     return bounded_universe(signature if signature is not None else p.signature(), depth_bound)
 
 
 def _ground_clause_instances(
-    clause: Clause, atoms: frozenset[Literal], universe: frozenset[Term] | None
+    clause: Clause, atoms: frozenset[Literal], universe: frozenset[Term]
 ) -> list[Literal]:
     """Heads of ground instances whose bodies hold in `atoms`.
 
@@ -136,11 +136,6 @@ def _ground_clause_instances(
         if not free:
             heads.append(instantiated)
             continue
-        if universe is None:
-            raise RuntimeError(
-                "clause head has variables not bound by the body and no universe "
-                f"was supplied: {render_literal(head)}"
-            )
         free_sorted = sorted(free, key=lambda v: v.name)
         for values in product(sorted(universe, key=render_term), repeat=len(free_sorted)):
             full = dict(theta)
@@ -184,15 +179,6 @@ def least_model_bounded(
         atoms = nxt
 
 
-def _term_signature(t: Term) -> set[tuple[str, int]]:
-    if isinstance(t, Var):
-        return set()
-    out = {(t.functor, t.arity)}
-    for a in t.args:
-        out |= _term_signature(a)
-    return out
-
-
 def covers(
     p: HornProgram,
     examples: frozenset[Literal] | set[Literal],
@@ -212,13 +198,11 @@ def covers(
             f"{len(too_deep)} example(s) exceed depth bound {depth_bound}; "
             f"use a bound of at least {worst}"
         )
-    signature = set(p.signature())
     for e in examples:
         if not e.positive or not is_ground_literal(e):
             raise ValueError(f"examples must be ground positive atoms: {render_literal(e)}")
-        for arg in e.args:
-            signature |= _term_signature(arg)
-    model = least_model_bounded(p, depth_bound, frozenset(signature))
+    signature = p.signature() | term_signature(a for e in examples for a in e.args)
+    model = least_model_bounded(p, depth_bound, signature)
     return {e: e in model.atoms for e in examples}
 
 

@@ -10,11 +10,7 @@ wins over speed.
 from __future__ import annotations
 
 from .logic import Clause, Literal, Substitution, Term, Var, literal_variables
-from .syntax import render_clause, render_literal
-
-
-def _lit_key(l: Literal) -> tuple[bool, str]:
-    return (not l.positive, render_literal(l))
+from .syntax import literal_order, render_clause
 
 
 def match_terms(pattern: Term, target: Term, theta: dict[Var, Term]) -> dict[Var, Term] | None:
@@ -59,8 +55,8 @@ def theta_subsumes(c: Clause, d: Clause) -> tuple[bool, Substitution | None]:
     """
     # Most-constrained literals first (fewest variables) prunes early; the
     # text tiebreak keeps the found witness deterministic.
-    c_lits = sorted(c.literals, key=lambda l: (len(literal_variables(l)), _lit_key(l)))
-    d_lits = sorted(d.literals, key=_lit_key)
+    c_lits = sorted(c.literals, key=lambda l: (len(literal_variables(l)), literal_order(l)))
+    d_lits = sorted(d.literals, key=literal_order)
 
     def search(i: int, theta: dict[Var, Term]) -> dict[Var, Term] | None:
         if i == len(c_lits):
@@ -108,7 +104,7 @@ def reduce_clause(c: Clause) -> Clause:
     changed = True
     while changed:
         changed = False
-        for lit in sorted(current.literals, key=_lit_key):
+        for lit in sorted(current.literals, key=literal_order):
             smaller = Clause(current.literals - {lit})
             if not smaller.literals:
                 continue

@@ -179,11 +179,7 @@ def parse_atom(text: str) -> Literal:
 
 
 def parse_program(text: str) -> HornProgram:
-    p = _Parser(text)
-    clauses = []
-    while p.peek()[0] != "eof":
-        clauses.append(p.parse_clause())
-    return HornProgram(clauses)
+    return HornProgram(parse_clauses(text))
 
 
 def parse_clauses(text: str) -> list[Clause]:
@@ -226,7 +222,12 @@ def render_literal(lit: Literal) -> str:
     return f"{lit.predicate}({', '.join(render_term(a) for a in lit.args)})"
 
 
-def _render_clause_ordered(literals: list[Literal]) -> str:
+def literal_order(lit: Literal) -> tuple[bool, str]:
+    """Deterministic literal sort key: positives first, then rendered text."""
+    return (not lit.positive, render_literal(lit))
+
+
+def _render_in_order(literals: list[Literal]) -> str:
     """Render with literals in the given order: positives first as the head
     part, negatives as the body. Non-definite clauses get a display-only
     form ('h1 ; h2 :- b') that the grammar deliberately rejects."""
@@ -274,7 +275,7 @@ def _canonical_renaming(literals: list[Literal]) -> dict[Var, Term]:
 
 def _rendered_with_renaming(literals: list[Literal]) -> str:
     theta = _canonical_renaming(literals)
-    return _render_clause_ordered([apply_to_literal(l, theta) for l in literals])
+    return _render_in_order([apply_to_literal(l, theta) for l in literals])
 
 
 _PERMUTE_BUDGET = 40320  # orderings tried before the (unreachable) fallback
@@ -364,7 +365,3 @@ def render_program(p: HornProgram) -> str:
         if not lines or lines[-1] != line:
             lines.append(line)
     return "\n".join(lines)
-
-
-def render_clause_set(clauses: list[Clause] | frozenset[Clause]) -> str:
-    return "\n".join(sorted(render_clause(c) for c in clauses))

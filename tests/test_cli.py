@@ -1,7 +1,11 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from hornlearn import StageRecord, System, config_for_stream, render_literal, run_stream
+from hornlearn.cases import even_reordered_stream
 from hornlearn.cli import main
 
 CHAIN_UP = "p(0).\np(s(s(X))) :- p(X).\n"
@@ -212,3 +216,25 @@ def test_identical_invocations_are_bit_identical(tmp_path, capsys):
         run(capsys, "learn", "--system", "pgolem", "--examples", str(stream), "--trace", str(trace))
         outs.append(trace.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_trace_codec_round_trips_and_matches_benchmark_digest(tmp_path, capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import trace_digest
+
+    stream = even_reordered_stream(12)
+    records = run_stream(stream, config_for_stream(stream, System.PRIORITIZED_GOLEM))
+    assert "restarted(0)" in [rec.action_text() for rec in records]
+    for rec in records:
+        obj = rec.to_json_dict()
+        assert StageRecord.from_json_dict(obj) == rec
+        assert StageRecord.from_json_dict(json.loads(json.dumps(obj))).to_json_dict() == obj
+
+    examples = tmp_path / "stream.pl"
+    examples.write_text("".join(f"{render_literal(a)}.\n" for a in stream))
+    trace = tmp_path / "trace.jsonl"
+    code, _, _ = run(
+        capsys, "learn", "--system", "pgolem", "--examples", str(examples), "--trace", str(trace)
+    )
+    assert code == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest(records)

@@ -20,7 +20,6 @@ from hornlearn import (
     term_distance,
 )
 from hornlearn.cases import numeral
-from hornlearn.metric import format_distance
 
 from conftest import SIG_UNARY, random_literal, random_simple_clause
 
@@ -54,9 +53,9 @@ def test_distance_recursion_values():
 
 
 def test_distance_formatting():
-    assert format_distance(term_distance(numeral(2), numeral(3))) == "1/3"
-    assert format_distance(term_distance(ZERO, ZERO)) == "0"
-    assert format_distance(term_distance(ZERO, s(ZERO))) == "1"
+    assert str(term_distance(numeral(2), numeral(3))) == "1/3"
+    assert str(term_distance(ZERO, ZERO)) == "0"
+    assert str(term_distance(ZERO, s(ZERO))) == "1"
 
 
 # --- literal distance --------------------------------------------------------

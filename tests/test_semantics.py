@@ -132,6 +132,12 @@ def test_covers_allow_deeper_reports_uncovered():
     assert got == {even_atom(8): False}
 
 
+def test_covers_widens_signature_with_example_symbols():
+    # r(Y). names no constant, so only the example's a grounds its universe.
+    r_a = atom("r", Fn("a"))
+    assert covers(parse_program("r(Y)."), {r_a}, 2) == {r_a: True}
+
+
 def test_default_depth_bound():
     assert default_depth_bound(21) == 25
 
