@@ -2,7 +2,6 @@
 analysis of the learned program sequences."""
 
 from .generalize import (
-    AlreadyCovered,
     PairTable,
     SaturationPolicy,
     lgg_clause_sets,

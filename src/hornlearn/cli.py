@@ -3,7 +3,8 @@ Command-line surface for batch runs.
 
 Subcommands: distance, lgg, rlgg, model, learn, analyze, reproduce.
 Exit codes: 0 success, 1 assertion/golden failure, 2 usage error,
-3 input parse error. Identical invocations produce bit-identical output.
+3 input parse error (also a malformed trace line or too deep nesting).
+Identical invocations produce bit-identical output.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from importlib import resources
 from pathlib import Path
 
 from .cases import even_ascending_stream, even_reordered_stream
-from .generalize import AlreadyCovered, SaturationPolicy, lgg_clauses, saturate
+from .generalize import SaturationPolicy, lgg_clauses, saturate
 from .learner import StageBudgetExceeded, StageRecord, System, config_for_stream, run_stream
 from .limits import Verdict, convergence_report, default_window
 from .logic import ExampleStream, HornProgram, literal_depth
 from .metric import priority_precedes, term_distance
-from .semantics import default_depth_bound, least_model_bounded
+from .semantics import default_depth_bound, is_covered, least_model_bounded
 from .subsumption import program_variant_equal
 from .syntax import (
     ParseError,
@@ -83,11 +84,10 @@ def cmd_rlgg(args: argparse.Namespace) -> int:
             [literal_depth(example)] + [c.max_depth() for c in background], default=1
         )
         depth = default_depth_bound(deepest)
-    try:
-        clauses = saturate(background, example, SaturationPolicy(args.policy), depth)
-    except AlreadyCovered as exc:
-        print(f"% {exc}")
+    if len(background) and is_covered(background, example, depth):
+        print(f"% example {render_literal(example)} is already covered at depth {depth}")
         return EXIT_OK
+    clauses = saturate(background, example, SaturationPolicy(args.policy), depth)
     lines = sorted(render_clause(c) for c in clauses)
     if args.format == "json":
         print(json.dumps({"clauses": lines, "depthBound": depth}))
@@ -164,12 +164,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _load_trace(path: str) -> list[StageRecord]:
-    """Rebuild stage records from a trace file (canonical program text)."""
-    return [
-        StageRecord.from_json_dict(json.loads(line))
-        for line in _read(path).splitlines()
-        if line.strip()
-    ]
+    """Rebuild stage records from a trace file (canonical program text); a
+    malformed line is a ParseError naming its line number."""
+    records = []
+    for n, line in enumerate(_read(path).splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(StageRecord.from_json_dict(json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"trace line is not JSON: {exc.msg}", n, exc.colno) from exc
+        except ValueError as exc:
+            raise ParseError(str(exc), n, 1) from exc
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +415,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except RecursionError:  # the term walks recurse once per nesting level
+        print("parse error: input nested too deeply", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

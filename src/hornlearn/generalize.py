@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import product
+from math import prod
 
 from .logic import (
     Clause,
@@ -25,7 +26,7 @@ from .logic import (
     literal_variables,
 )
 from .metric import clause_distance
-from .semantics import is_covered, least_model_bounded
+from .semantics import least_model_bounded
 from .subsumption import reduce_clause, theta_subsumes
 from .syntax import literal_order, render_clause, render_literal
 
@@ -138,16 +139,8 @@ class SaturationPolicy(Enum):
     GROUND_ATOMS = "ground"
 
 
-class AlreadyCovered(Exception):
-    """The example is derivable from the background at the depth bound; a
-    distinct outcome rather than a failure."""
-
-    def __init__(self, example: Literal, depth_bound: int):
-        super().__init__(
-            f"example {render_literal(example)} is already covered at depth {depth_bound}"
-        )
-        self.example = example
-        self.depth_bound = depth_bound
+# PAPER_TRACE saturation has one clause per choice of a literal from each rule.
+_SATURATION_CAP = 10_000
 
 
 def saturate(
@@ -162,12 +155,11 @@ def saturate(
     disjoins e, and expands to clause normal form with tautologies removed;
     a fact-only background instead yields the single clause e <- facts.
     GROUND_ATOMS yields the single clause whose body is the background's
-    bounded model: { ~q : q in model } ∪ { e }.
+    bounded model: { ~q : q in model } ∪ { e }. Callers ask whether e is
+    covered first; a PAPER_TRACE expansion over _SATURATION_CAP is refused.
     """
     if not e.positive or not is_ground_literal(e):
         raise ValueError(f"saturation needs a ground positive example: {render_literal(e)}")
-    if len(background) and is_covered(background, e, depth_bound):
-        raise AlreadyCovered(e, depth_bound)
 
     if policy is SaturationPolicy.GROUND_ATOMS:
         model = least_model_bounded(background, depth_bound)
@@ -181,6 +173,11 @@ def saturate(
     # ~(R1 ∧ R2 ∧ ...) ∨ e in clause normal form: one clause per choice of a
     # negated literal from each rule, tautologies dropped.
     choice_sets = [[lit.negated() for lit in sorted(r.literals, key=literal_order)] for r in rules]
+    size = prod(len(choices) for choices in choice_sets)
+    if size > _SATURATION_CAP:
+        raise ValueError(
+            f"saturation would make {size} clauses (cap {_SATURATION_CAP}); use --policy ground"
+        )
     clauses = set()
     for choice in product(*choice_sets):
         clause = Clause(list(choice) + [e])
@@ -190,25 +187,20 @@ def saturate(
 
 
 def reduce_program(p: HornProgram, depth_bound: int) -> HornProgram:
-    """Fixpoint removal of redundant clauses: a clause goes when another
-    remaining clause theta-subsumes it, or when it is a ground fact derivable
-    from the remaining program's bounded model. Scanning is largest clause
-    first with canonical-text tiebreak, so the result is deterministic."""
+    """Removal of redundant clauses: a clause goes when another remaining
+    clause theta-subsumes it, or when it is a ground fact derivable from the
+    remaining program's bounded model. Scanning is largest clause first with
+    canonical-text tiebreak, so the result is deterministic. One pass is a
+    fixpoint: with the signature pinned, both tests are monotone in the
+    remaining set, so a clause kept once stays kept."""
     clauses = set(p.clauses)
     signature = p.signature()  # removals must not shrink the term language
-    while True:
-        ordered = sorted(clauses, key=lambda c: (-len(c.literals), render_clause(c)))
-        removed = None
-        for c in ordered:
-            rest = clauses - {c}
-            if any(theta_subsumes(d, c)[0] for d in rest):
-                removed = c
-                break
-            if c.is_fact and rest:
-                model = least_model_bounded(HornProgram(rest), depth_bound, signature)
-                if c.head in model.atoms:
-                    removed = c
-                    break
-        if removed is None:
-            return HornProgram(clauses)
-        clauses.discard(removed)
+    for c in sorted(clauses, key=lambda c: (-len(c.literals), render_clause(c))):
+        rest = clauses - {c}
+        if any(theta_subsumes(d, c)[0] for d in rest):
+            clauses = rest
+        elif c.is_fact and rest:
+            model = least_model_bounded(HornProgram(rest), depth_bound, signature)
+            if c.head in model.atoms:
+                clauses = rest
+    return HornProgram(clauses)

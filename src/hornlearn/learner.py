@@ -31,6 +31,7 @@ reduction or make bounded evaluation enumerate the universe.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -46,6 +47,7 @@ from .logic import (
     HornProgram,
     Literal,
     fact,
+    is_ground_literal,
     literal_subterms,
 )
 from .metric import is_simple_program, priority_precedes
@@ -106,22 +108,27 @@ class StageRecord:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StageRecord":
-        """Inverse of to_json_dict; `simple` is recomputed when absent."""
-        action_text = obj["action"]
-        if action_text.startswith("restarted"):
-            action = Action.RESTARTED
-            frm = int(action_text.partition("(")[2].rstrip(")")) if "(" in action_text else None
-        else:
-            action = Action(action_text)
-            frm = None
+        """Inverse of to_json_dict; `simple` is recomputed when absent. A
+        record that to_json_dict cannot have written is a ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError("trace record is not a JSON object")
+        for key, kind in (("stage", int), ("example", str), ("action", str), ("program", str)):
+            if not isinstance(obj.get(key), kind):
+                raise ValueError(f"trace field {key!r} is missing or not a {kind.__name__}")
+        action = re.fullmatch(r"(covered|extended)|restarted\((\d+)\)", obj["action"])
+        if action is None:
+            raise ValueError(f"unknown trace action {obj['action']!r}")
+        example = parse_atom(obj["example"])
+        if not is_ground_literal(example):
+            raise ValueError(f"example is not ground: {render_literal(example)}")
         program = parse_program(obj["program"])
         return cls(
             stage=obj["stage"],
-            example=parse_atom(obj["example"]),
-            action=action,
-            restarted_from=frm,
+            example=example,
+            action=Action(action[1] or "restarted"),
+            restarted_from=int(action[2]) if action[2] else None,
             program=program,
-            simple=obj.get("simple", is_simple_program(program)),
+            simple=obj["simple"] if "simple" in obj else is_simple_program(program),
         )
 
 
@@ -156,7 +163,8 @@ def _extend(
     restrict_to_priority: bool,
 ) -> HornProgram:
     """The shared uncovered-arrival step: saturate, generalize, retain the
-    arrival as a fact if still needed, reduce."""
+    arrival as a fact if still needed, reduce. Every caller has already
+    found e uncovered by `current`, so saturation does not ask again."""
     sigma = saturate(current, e, cfg.policy, cfg.depth_bound)
     if restrict_to_priority:
         sigma = frozenset(_restrict_clause(c, e) for c in sigma)
@@ -254,34 +262,22 @@ def _restart_stage(arrivals: list[Literal], e: Literal) -> int | None:
     then closed transitively, because the replay set may itself precede
     arrivals retained before the trigger stage (a restart must never freeze
     background content that something pending has priority over, or the
-    result depends on arrival order).
+    result depends on arrival order). One backward scan finds the closure,
+    because the pending set arrivals[j:] + [e] only grows as j falls.
     """
-    triggers = [i for i, a in enumerate(arrivals) if _strictly_precedes(e, a)]
-    if not triggers:
-        return None
-    j = min(triggers)
-    while True:
-        pending = arrivals[j:] + [e]
-        earlier = [
-            i
-            for i in range(j)
-            if any(_strictly_precedes(q, arrivals[i]) for q in pending)
-        ]
-        if not earlier:
-            return j
-        j = min(earlier)
+    j = None
+    pending = [e]
+    for i in range(len(arrivals) - 1, -1, -1):
+        if any(_strictly_precedes(q, arrivals[i]) for q in pending):
+            j = i
+            pending = arrivals[i:] + [e]
+    return j
 
 
 def _priority_sorted(pending: list[Literal]) -> list[Literal]:
     """Ascending priority (topological over the pre-order), ties broken by
     arrival order. Duplicates keep their first arrival only."""
-    seen = set()
-    unique = []
-    for a in pending:
-        if a not in seen:
-            seen.add(a)
-            unique.append(a)
-    remaining = list(unique)
+    remaining = list(dict.fromkeys(pending))
     ordered = []
     while remaining:
         minimal = next(

@@ -21,7 +21,7 @@ from enum import Enum
 
 from .learner import StageRecord
 from .logic import Clause, HornProgram, Literal
-from .semantics import BoundedModel, covers, least_model_bounded
+from .semantics import BoundedModel, examples_model
 from .subsumption import clause_key
 from .syntax import render_clause, render_literal, render_program
 
@@ -137,7 +137,7 @@ def convergence_report(
     true set-theoretic limit equal to liminf. Divergent: some clause leaves
     and re-enters. The candidate limit is the window liminf; its coverage is
     checked against everything streamed (examples deeper than the bound count
-    as uncovered).
+    as uncovered) in the one model the report carries.
     """
     if not trace:
         raise ValueError("empty trace")
@@ -162,8 +162,8 @@ def convergence_report(
             verdict = Verdict.DIVERGENT
 
     candidate = HornProgram(liminf)
-    correctness = covers(candidate, frozenset(streamed_examples), depth_bound, allow_deeper=True)
-    model = least_model_bounded(candidate, depth_bound)
+    model = examples_model(candidate, streamed_examples, depth_bound)
+    correctness = {e: e in model.atoms for e in streamed_examples}
     return LimitReport(
         window_size=w,
         liminf_window=liminf,

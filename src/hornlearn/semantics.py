@@ -14,7 +14,7 @@ depth-<=D fragment.
 Clauses that are not range-restricted (a head variable missing from the
 body, as in the unit clause r(Y).) are grounded by enumerating the bounded
 universe over the program's signature, widened by the examples' symbols in
-`covers`. Learned programs never need this fallback, but user programs
+`examples_model`. Learned programs never need this fallback, but user programs
 (`hornlearn model --program` on r(Y). r(a).) and the random simple programs
 that the acceptance tests compare against a naive oracle do, so it stays;
 _UNIVERSE_CAP keeps its cost bounded.
@@ -22,6 +22,7 @@ _UNIVERSE_CAP keeps its cost bounded.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import product
 
@@ -201,9 +202,14 @@ def covers(
     for e in examples:
         if not e.positive or not is_ground_literal(e):
             raise ValueError(f"examples must be ground positive atoms: {render_literal(e)}")
-    signature = p.signature() | term_signature(a for e in examples for a in e.args)
-    model = least_model_bounded(p, depth_bound, signature)
+    model = examples_model(p, examples, depth_bound)
     return {e: e in model.atoms for e in examples}
+
+
+def examples_model(p: HornProgram, examples: Iterable[Literal], depth_bound: int) -> BoundedModel:
+    """Bounded least model over p's signature widened with the examples' symbols."""
+    signature = p.signature() | term_signature(a for e in examples for a in e.args)
+    return least_model_bounded(p, depth_bound, signature)
 
 
 def is_covered(p: HornProgram, e: Literal, depth_bound: int) -> bool:

@@ -99,17 +99,12 @@ def program_variant_equal(p, q) -> bool:
 
 def reduce_clause(c: Clause) -> Clause:
     """Plotkin literal-reduction: drop literals while the clause still
-    theta-subsumes the smaller clause (the result is theta-equivalent)."""
+    theta-subsumes the smaller clause (the result is theta-equivalent).
+    One pass suffices: each intermediate C' ⊆ c is theta-equivalent to c,
+    and if C' can drop l then so can c, so a literal kept once stays kept."""
     current = c
-    changed = True
-    while changed:
-        changed = False
-        for lit in sorted(current.literals, key=literal_order):
-            smaller = Clause(current.literals - {lit})
-            if not smaller.literals:
-                continue
-            if theta_subsumes(current, smaller)[0]:
-                current = smaller
-                changed = True
-                break
+    for lit in sorted(c.literals, key=literal_order):
+        smaller = Clause(current.literals - {lit})
+        if smaller.literals and theta_subsumes(current, smaller)[0]:
+            current = smaller
     return current

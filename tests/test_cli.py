@@ -238,3 +238,69 @@ def test_trace_codec_round_trips_and_matches_benchmark_digest(tmp_path, capsys, 
     )
     assert code == 0
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest(records)
+
+
+def test_analyze_reports_the_model_coverage_was_read_from(tmp_path, capsys):
+    # A limit with a variable-headed fact needs the examples' constants to
+    # ground; its own signature has none.
+    bg = tmp_path / "bg.pl"
+    bg.write_text("r(Y).\n")
+    stream = tmp_path / "stream.pl"
+    stream.write_text("r(a).\nr(b).\n")
+    trace = tmp_path / "trace.jsonl"
+    code, _, _ = run(
+        capsys, "learn", "--system", "golem", "--background", str(bg),
+        "--examples", str(stream), "--trace", str(trace),
+    )
+    assert code == 0
+    code, out, err = run(capsys, "analyze", "--trace", str(trace))
+    assert code == 0, err
+    obj = json.loads(out)
+    assert obj["correctness"] == {"r(a)": True, "r(b)": True}
+    assert obj["candidateModel"]["atoms"] == ["r(a)", "r(b)"]
+
+
+def assert_one_line_parse_error(code, err, needle):
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("parse error: ")
+    assert needle in err
+
+
+@pytest.mark.parametrize(
+    "line,needle",
+    [
+        ("not json", "not JSON: Expecting value (line 2, column 1)"),
+        ("[1]", "trace record is not a JSON object (line 2, column 1)"),
+        ('{"stage": 1, "example": "p(0)", "program": ""}',
+         "'action' is missing or not a str (line 2"),
+        ('{"stage": 1, "example": "p(0)", "action": "jumped", "program": ""}',
+         "unknown trace action 'jumped' (line 2"),
+        ('{"stage": 1, "example": "p(X)", "action": "covered", "program": ""}',
+         "example is not ground: p(X) (line 2"),
+    ],
+    ids=["not-json", "not-an-object", "missing-key", "unknown-action", "non-ground-example"],
+)
+def test_analyze_malformed_trace_line_is_a_parse_error(tmp_path, capsys, line, needle):
+    trace = tmp_path / "trace.jsonl"
+    good = '{"stage": 0, "example": "p(0)", "action": "extended", "program": "p(0)."}'
+    trace.write_text(f"{good}\n{line}\n")
+    code, _, err = run(capsys, "analyze", "--trace", str(trace))
+    assert_one_line_parse_error(code, err, needle)
+
+
+def test_deeply_nested_input_is_a_parse_error(tmp_path, capsys):
+    deep = "s(" * 1500 + "0" + ")" * 1500
+    code, _, err = run(capsys, "distance", deep, "0")
+    assert_one_line_parse_error(code, err, "nested too deeply")
+    program = tmp_path / "deep.pl"
+    program.write_text(f"p({deep}).\n")
+    code, _, err = run(capsys, "model", "--program", str(program), "--depth", "3")
+    assert_one_line_parse_error(code, err, "nested too deeply")
+
+
+def test_rlgg_saturation_over_the_cap_is_a_usage_error(tmp_path, capsys):
+    bg = tmp_path / "bg.pl"
+    bg.write_text("".join(f"q{i}(X) :- r{i}(X), t{i}(X).\n" for i in range(14)))
+    code, out, err = run(capsys, "rlgg", "--background", str(bg), "--example", "p(0)")
+    assert code == 2 and not out
+    assert "--policy ground" in err

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hornlearn import (
-    AlreadyCovered,
     Clause,
     Fn,
     HornProgram,
@@ -244,10 +243,25 @@ def test_saturate_tautologies_removed():
     assert len(sigma) == 2  # four choices, two tautologies dropped
 
 
-def test_saturate_covered_example_is_distinct_outcome():
+def test_saturate_covered_example_returns_its_saturation():
+    # Coverage is the caller's question; saturate answers only its own.
     background = parse_program("p(0).")
-    with pytest.raises(AlreadyCovered):
+    e = atom("p", ZERO)
+    sigma = saturate(background, e, SaturationPolicy.PAPER_TRACE, 4)
+    assert sigma == frozenset((Clause([e, e.negated()]),))
+    sigma = saturate(background, e, SaturationPolicy.GROUND_ATOMS, 4)
+    assert sigma == frozenset((Clause([e, e.negated()]),))
+
+
+def test_saturate_refuses_an_expansion_over_the_cap():
+    # 14 three-literal rules: 3**14 choices, refused before enumeration.
+    background = parse_program(
+        "".join(f"q{i}(X) :- r{i}(X), t{i}(X).\n" for i in range(14))
+    )
+    with pytest.raises(ValueError, match="--policy ground"):
         saturate(background, atom("p", ZERO), SaturationPolicy.PAPER_TRACE, 4)
+    sigma = saturate(background, atom("p", ZERO), SaturationPolicy.GROUND_ATOMS, 4)
+    assert sigma == frozenset((Clause([atom("p", ZERO)]),))
 
 
 def test_saturate_rejects_non_ground_example():
