@@ -80,10 +80,7 @@ def cmd_rlgg(args: argparse.Namespace) -> int:
     example = parse_atom(args.example)
     depth = args.depth
     if depth is None:
-        deepest = max(
-            [literal_depth(example)] + [c.max_depth() for c in background], default=1
-        )
-        depth = default_depth_bound(deepest)
+        depth = default_depth_bound(literal_depth(example), background)
     if len(background) and is_covered(background, example, depth):
         print(f"% example {render_literal(example)} is already covered at depth {depth}")
         return EXIT_OK
@@ -116,16 +113,19 @@ def cmd_model(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_trace(records: list[StageRecord], path: str) -> None:
+def _write_trace(records: list[StageRecord], path: str) -> list[str]:
+    """Write one JSON line per record; returns the lines written."""
     lines = [json.dumps(r.to_json_dict()) for r in records]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return lines
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
     stream = parse_example_stream(_read(args.examples))
     background = parse_program(_read(args.background)) if args.background else HornProgram()
     cfg = config_for_stream(
-        stream, System(args.system), SaturationPolicy(args.policy), args.depth, args.stages
+        stream, System(args.system), SaturationPolicy(args.policy), args.depth, args.stages,
+        background,
     )
     try:
         records = run_stream(stream, cfg, background)
@@ -147,14 +147,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not records:
         print("error: trace file holds no stages", file=sys.stderr)
         return EXIT_USAGE
-    if args.window is not None:
-        w = args.window
-    else:
-        w = min(default_window(len(records)), len(records))
+    w = args.window if args.window is not None else default_window(len(records))
     streamed = frozenset(rec.example for rec in records)
     depth = args.depth
     if depth is None:
-        depth = default_depth_bound(max(literal_depth(e) for e in streamed))
+        # learn's rule, with the last program standing in for the background
+        # (the trace does not record it): the two bounds agree unless
+        # reduction dropped the deepest background clause.
+        depth = default_depth_bound(
+            max(literal_depth(e) for e in streamed), records[-1].program
+        )
     report = convergence_report(records, streamed, w, depth)
     text = report.to_json()
     if args.report:
@@ -190,11 +192,10 @@ def _golden_text(name: str) -> str:
     return resources.files("hornlearn").joinpath("golden", name).read_text(encoding="utf-8")
 
 
-def _check_trace_against_golden(records: list[StageRecord], golden_name: str) -> str | None:
-    """None if the trace matches the committed fixture; otherwise a message
-    naming the first differing stage."""
+def _check_trace_against_golden(actual_lines: list[str], golden_name: str) -> str | None:
+    """None if the serialized trace matches the committed fixture; otherwise
+    a message naming the first differing stage."""
     golden_lines = [l for l in _golden_text(golden_name).splitlines() if l.strip()]
-    actual_lines = [json.dumps(r.to_json_dict()) for r in records]
     if len(golden_lines) != len(actual_lines):
         return f"stage count differs: expected {len(golden_lines)}, got {len(actual_lines)}"
     for i, (want, got) in enumerate(zip(golden_lines, actual_lines)):
@@ -214,9 +215,9 @@ def _reproduce_trace_case(
 ) -> int:
     cfg = config_for_stream(stream, system, max_stages=len(stream))
     records = run_stream(stream, cfg)
-    _write_trace(records, str(outdir / f"{name}.trace.jsonl"))
+    lines = _write_trace(records, str(outdir / f"{name}.trace.jsonl"))
 
-    mismatch = _check_trace_against_golden(records, f"{name}.trace.jsonl")
+    mismatch = _check_trace_against_golden(lines, f"{name}.trace.jsonl")
     if mismatch:
         print(f"FAIL {name}: {mismatch}", file=sys.stderr)
         return EXIT_ASSERTION
@@ -395,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="limit analysis of a learner trace")
     p.add_argument("--trace", required=True)
-    p.add_argument("--window", type=int, default=None, help="window size (default: max(4, stages/3))")
+    p.add_argument(
+        "--window", type=int, default=None, help="window size (default: max(4, stages/3), at most stages)"
+    )
     p.add_argument("--depth", type=int, default=None, help="depth bound (default: auto)")
     p.add_argument("--report", help="write the report JSON to this file")
     p.set_defaults(func=cmd_analyze)

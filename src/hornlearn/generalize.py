@@ -124,7 +124,7 @@ def lgg_clause_sets(
         raise ValueError("lgg over clause sets requires nonempty inputs")
     b_sorted = sorted(b, key=render_clause)
     out = set()
-    for c in sorted(a, key=render_clause):
+    for c in a:
         nearest = min(b_sorted, key=lambda d: clause_distance(c, d))
         g = lgg_clauses(c, nearest)
         if g.literals:
@@ -165,14 +165,14 @@ def saturate(
         model = least_model_bounded(background, depth_bound)
         return frozenset((Clause([q.negated() for q in model.atoms] + [e]),))
 
-    rules = sorted(background.rules, key=render_clause)
+    rules = background.rules
     if not rules:
-        body = [c.head.negated() for c in sorted(background.facts, key=render_clause)]
+        body = [c.head.negated() for c in background.facts]
         return frozenset((Clause(body + [e]),))
 
     # ~(R1 ∧ R2 ∧ ...) ∨ e in clause normal form: one clause per choice of a
     # negated literal from each rule, tautologies dropped.
-    choice_sets = [[lit.negated() for lit in sorted(r.literals, key=literal_order)] for r in rules]
+    choice_sets = [[lit.negated() for lit in r.literals] for r in rules]
     size = prod(len(choices) for choices in choice_sets)
     if size > _SATURATION_CAP:
         raise ValueError(

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -145,7 +146,7 @@ class StageBudgetExceeded(Exception):
 
 def _keep_learned(clauses: frozenset[Clause]) -> set[Clause]:
     kept = set()
-    for c in sorted(clauses, key=render_clause):
+    for c in clauses:
         if not c.is_definite:
             logger.debug("dropping non-definite generalization: %s", render_clause(c))
             continue
@@ -276,17 +277,15 @@ def _restart_stage(arrivals: list[Literal], e: Literal) -> int | None:
 
 def _priority_sorted(pending: list[Literal]) -> list[Literal]:
     """Ascending priority (topological over the pre-order), ties broken by
-    arrival order. Duplicates keep their first arrival only."""
+    arrival order. Duplicates keep their first arrival only. b is strictly
+    below a exactly when S(b) < S(a) for the subterm sets, so each set is
+    read once."""
     remaining = list(dict.fromkeys(pending))
+    subterms = {a: literal_subterms(a) for a in remaining}
     ordered = []
     while remaining:
         minimal = next(
-            a
-            for a in remaining
-            if not any(
-                b is not a and priority_precedes(b, a) and not priority_precedes(a, b)
-                for b in remaining
-            )
+            a for a in remaining if not any(subterms[b] < subterms[a] for b in remaining)
         )
         remaining.remove(minimal)
         ordered.append(minimal)
@@ -346,9 +345,12 @@ def config_for_stream(
     policy: SaturationPolicy = SaturationPolicy.PAPER_TRACE,
     depth_bound: int | None = None,
     max_stages: int = 200,
+    background: Iterable[Clause] = (),
 ) -> LearnerConfig:
+    """The default depth bound counts the background that run_stream will
+    start from, so no background clause falls outside the bounded base."""
     if depth_bound is None:
-        depth_bound = default_depth_bound(stream.max_depth())
+        depth_bound = default_depth_bound(stream.max_depth(), background)
     return LearnerConfig(
         system=system, policy=policy, depth_bound=depth_bound, max_stages=max_stages
     )

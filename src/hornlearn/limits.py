@@ -22,7 +22,6 @@ from enum import Enum
 from .learner import StageRecord
 from .logic import Clause, HornProgram, Literal
 from .semantics import BoundedModel, examples_model
-from .subsumption import clause_key
 from .syntax import render_clause, render_literal, render_program
 
 SCHEMA_VERSION = 1
@@ -80,7 +79,27 @@ class LimitReport:
 
 
 def default_window(stages: int) -> int:
-    return max(4, -(-stages // 3))
+    """max(4, stages/3), never more than the stages there are."""
+    return min(stages, max(4, -(-stages // 3)))
+
+
+def _keyed_window(
+    snapshots: list[HornProgram], w: int
+) -> tuple[list[set[str]], dict[str, Clause]]:
+    """Each windowed snapshot's set of canonical clause texts, and one clause
+    per text; every windowed clause is rendered once."""
+    if w < 1 or w > len(snapshots):
+        raise ValueError(f"window {w} does not fit a prefix of {len(snapshots)} snapshots")
+    by_key: dict[str, Clause] = {}
+    key_sets: list[set[str]] = []
+    for prog in snapshots[-w:]:
+        keys = set()
+        for c in prog:
+            k = render_clause(c)
+            keys.add(k)
+            by_key.setdefault(k, c)
+        key_sets.append(keys)
+    return key_sets, by_key
 
 
 def window_limits(
@@ -88,23 +107,10 @@ def window_limits(
 ) -> tuple[frozenset[Clause], frozenset[Clause]]:
     """liminf/limsup over the last w snapshots, clause identity up to variant
     equality."""
-    if w < 1 or w > len(snapshots):
-        raise ValueError(f"window {w} does not fit a prefix of {len(snapshots)} snapshots")
-    window = snapshots[-w:]
-    by_key: dict[str, Clause] = {}
-    key_sets: list[set[str]] = []
-    for prog in window:
-        keys = set()
-        for c in prog:
-            k = clause_key(c)
-            keys.add(k)
-            by_key.setdefault(k, c)
-        key_sets.append(keys)
-    limsup_keys = set().union(*key_sets)
-    liminf_keys = set.intersection(*key_sets)
+    key_sets, by_key = _keyed_window(snapshots, w)
     return (
-        frozenset(by_key[k] for k in liminf_keys),
-        frozenset(by_key[k] for k in limsup_keys),
+        frozenset(by_key[k] for k in set.intersection(*key_sets)),
+        frozenset(by_key.values()),
     )
 
 
@@ -141,33 +147,29 @@ def convergence_report(
     """
     if not trace:
         raise ValueError("empty trace")
-    snapshots = [rec.program for rec in trace]
-    liminf, limsup = window_limits(snapshots, w)
+    window_keysets, by_key = _keyed_window([rec.program for rec in trace], w)
     first_stage = trace[-w].stage
-
-    window_keysets = [{clause_key(c) for c in prog} for prog in snapshots[-w:]]
     occurrences = {
         key: _occurrence_intervals([key in ks for ks in window_keysets], first_stage)
-        for key in set().union(*window_keysets)
+        for key in by_key
     }
+    liminf_keys = set.intersection(*window_keysets)
 
     if all(ks == window_keysets[0] for ks in window_keysets):
         verdict = Verdict.STABLE
+    elif all(len(ivs) <= 1 for k, ivs in occurrences.items() if k not in liminf_keys):
+        verdict = Verdict.CONVERGENT_MODULO_TRANSIENTS
     else:
-        liminf_keys = set.intersection(*window_keysets)
-        transients = [k for k in occurrences if k not in liminf_keys]
-        if all(len(occurrences[k]) <= 1 for k in transients):
-            verdict = Verdict.CONVERGENT_MODULO_TRANSIENTS
-        else:
-            verdict = Verdict.DIVERGENT
+        verdict = Verdict.DIVERGENT
 
+    liminf = frozenset(by_key[k] for k in liminf_keys)
     candidate = HornProgram(liminf)
     model = examples_model(candidate, streamed_examples, depth_bound)
     correctness = {e: e in model.atoms for e in streamed_examples}
     return LimitReport(
         window_size=w,
         liminf_window=liminf,
-        limsup_window=limsup,
+        limsup_window=frozenset(by_key.values()),
         per_clause_occurrences=occurrences,
         verdict=verdict,
         candidate_limit=candidate,

@@ -215,13 +215,15 @@ class Clause:
         return len(self.literals) == 1
 
     @property
+    def unbound_head_variables(self) -> frozenset[Var]:
+        """Head variables that occur in no body literal. Defined for definite
+        clauses only."""
+        return literal_variables(self.head).difference(*map(literal_variables, self.body))
+
+    @property
     def range_restricted(self) -> bool:
-        """Every head variable occurs in the body (facts qualify vacuously).
-        Defined for definite clauses only."""
-        body_vars: set[Var] = set()
-        for b in self.body:
-            body_vars |= literal_variables(b)
-        return literal_variables(self.head) <= body_vars
+        """Every head variable occurs in the body (facts qualify vacuously)."""
+        return not self.unbound_head_variables
 
     def variables(self) -> frozenset[Var]:
         out: set[Var] = set()
@@ -285,9 +287,6 @@ class HornProgram:
     def signature(self) -> frozenset[tuple[str, int]]:
         """Functor symbols (name, arity) occurring in the program's terms."""
         return term_signature(a for c in self.clauses for l in c.literals for a in l.args)
-
-
-EMPTY_PROGRAM = HornProgram()
 
 
 @dataclass(frozen=True)

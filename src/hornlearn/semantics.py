@@ -34,14 +34,13 @@ from .logic import (
     Term,
     Var,
     apply_to_literal,
-    depth,
     is_ground_literal,
     literal_depth,
     literal_variables,
     term_signature,
 )
 from .subsumption import match_literals
-from .syntax import render_literal, render_term
+from .syntax import render_literal
 
 _UNIVERSE_CAP = 200_000
 
@@ -66,33 +65,31 @@ def bounded_universe(
     signature: frozenset[tuple[str, int]] | set[tuple[str, int]], depth_bound: int
 ) -> frozenset[Term]:
     """All ground terms over the signature with depth <= depth_bound.
-    Depth counts nodes: constants have depth 1."""
+    Depth counts nodes: constants have depth 1. U_d is the constants plus
+    every f(t...) with arguments in U_{d-1}, so its size, |constants| plus
+    |U_{d-1}|^arity per function, is known before it is built; a level over
+    _UNIVERSE_CAP is a ValueError."""
     if depth_bound < 1:
         raise ValueError("depth bound must be a positive integer")
-    constants = sorted(name for name, arity in signature if arity == 0)
-    functions = sorted((name, arity) for name, arity in signature if arity > 0)
+    constants = frozenset(Fn(name) for name, arity in signature if arity == 0)
+    functions = [(name, arity) for name, arity in signature if arity > 0]
     if not constants:
         raise ValueError("signature has no constant: the universe would be empty")
 
-    by_depth: dict[int, set[Term]] = {1: {Fn(name) for name in constants}}
-    all_terms: set[Term] = set(by_depth[1])
+    terms = constants
     for d in range(2, depth_bound + 1):
-        new: set[Term] = set()
-        shallower = list(all_terms)
-        for name, arity in functions:
-            for args in product(shallower, repeat=arity):
-                if 1 + max(depth(a) for a in args) == d:
-                    new.add(Fn(name, args))
-                    if len(all_terms) + len(new) > _UNIVERSE_CAP:
-                        raise RuntimeError(
-                            f"bounded universe exceeds {_UNIVERSE_CAP} terms at depth {d}; "
-                            "lower the depth bound"
-                        )
-        by_depth[d] = new
-        all_terms |= new
-        if not new:
+        size = len(constants) + sum(len(terms) ** arity for _, arity in functions)
+        if size == len(terms):
             break
-    return frozenset(all_terms)
+        if size > _UNIVERSE_CAP:
+            raise ValueError(
+                f"bounded universe would hold {size} terms at depth {d} "
+                f"(cap {_UNIVERSE_CAP}); lower the depth bound"
+            )
+        terms = constants.union(
+            Fn(name, args) for name, arity in functions for args in product(terms, repeat=arity)
+        )
+    return terms
 
 
 def _universe_for(
@@ -104,9 +101,17 @@ def _universe_for(
     empty when every clause is range-restricted, as learned programs are.
     An explicit signature widens the term language beyond the program's own
     symbols (the ambient language is fixed, not per-program)."""
-    if all(c.range_restricted for c in p):
+    unbound = max((len(c.unbound_head_variables) for c in p), default=0)
+    if not unbound:
         return frozenset()
-    return bounded_universe(signature if signature is not None else p.signature(), depth_bound)
+    universe = bounded_universe(signature if signature is not None else p.signature(), depth_bound)
+    if len(universe) ** unbound > _UNIVERSE_CAP:
+        raise ValueError(
+            f"a clause with {unbound} unbound head variables would have "
+            f"{len(universe)}^{unbound} instances per body match (cap {_UNIVERSE_CAP}); "
+            "lower the depth bound"
+        )
+    return universe
 
 
 def _ground_clause_instances(
@@ -137,10 +142,10 @@ def _ground_clause_instances(
         if not free:
             heads.append(instantiated)
             continue
-        free_sorted = sorted(free, key=lambda v: v.name)
-        for values in product(sorted(universe, key=render_term), repeat=len(free_sorted)):
+        free_vars = tuple(free)
+        for values in product(universe, repeat=len(free_vars)):
             full = dict(theta)
-            full.update(zip(free_sorted, values))
+            full.update(zip(free_vars, values))
             heads.append(apply_to_literal(head, full))
     return heads
 
@@ -216,6 +221,8 @@ def is_covered(p: HornProgram, e: Literal, depth_bound: int) -> bool:
     return covers(p, {e}, depth_bound)[e]
 
 
-def default_depth_bound(max_example_depth: int) -> int:
-    """Large enough that every trace at desk scale saturates."""
-    return max_example_depth + 4
+def default_depth_bound(max_example_depth: int, background: Iterable[Clause] = ()) -> int:
+    """The deepest of the examples and the background clauses, plus 4: large
+    enough that every trace at desk scale saturates and no background clause
+    falls outside the bounded base."""
+    return max([max_example_depth] + [c.max_depth() for c in background]) + 4

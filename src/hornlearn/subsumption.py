@@ -88,13 +88,8 @@ def clause_variant_equal(c: Clause, d: Clause) -> bool:
     return render_clause(c) == render_clause(d)
 
 
-def clause_key(c: Clause) -> str:
-    """Canonical identity key for variant-equality-based collections."""
-    return render_clause(c)
-
-
 def program_variant_equal(p, q) -> bool:
-    return {clause_key(c) for c in p} == {clause_key(c) for c in q}
+    return {render_clause(c) for c in p} == {render_clause(c) for c in q}
 
 
 def reduce_clause(c: Clause) -> Clause:

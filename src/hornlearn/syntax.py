@@ -20,7 +20,9 @@ equality.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import groupby, permutations, product
+from math import factorial, prod
+from operator import itemgetter
 
 from .logic import (
     Clause,
@@ -256,13 +258,14 @@ def _skeleton(lit: Literal) -> str:
     return f"{sign}{lit.predicate}/{len(lit.args)}({','.join(erase(a) for a in lit.args)})"
 
 
-def _canonical_renaming(literals: list[Literal]) -> dict[Var, Term]:
-    seen: dict[Var, Term] = {}
+def _variable_occurrences(literals: list[Literal]) -> list[Var]:
+    """Every variable occurrence, left to right; its first occurrences give
+    the canonical renaming order."""
+    out: list[Var] = []
 
     def walk(t: Term) -> None:
         if isinstance(t, Var):
-            if t not in seen:
-                seen[t] = Var(f"X{len(seen)}")
+            out.append(t)
             return
         for a in t.args:
             walk(a)
@@ -270,11 +273,12 @@ def _canonical_renaming(literals: list[Literal]) -> dict[Var, Term]:
     for lit in literals:
         for a in lit.args:
             walk(a)
-    return seen
+    return out
 
 
 def _rendered_with_renaming(literals: list[Literal]) -> str:
-    theta = _canonical_renaming(literals)
+    first = dict.fromkeys(_variable_occurrences(literals))
+    theta: dict[Var, Term] = {v: Var(f"X{i}") for i, v in enumerate(first)}
     return _render_in_order([apply_to_literal(l, theta) for l in literals])
 
 
@@ -284,51 +288,23 @@ _PERMUTE_BUDGET = 40320  # orderings tried before the (unreachable) fallback
 def _local_var_pattern(lit: Literal) -> tuple[int, ...]:
     """Variable occurrences as first-occurrence indices local to the literal;
     renaming-invariant (q(X, Y) and q(Y, X) both give (0, 1))."""
-    seen: dict = {}
-    pattern = []
-
-    def walk(t: Term) -> None:
-        if isinstance(t, Var):
-            pattern.append(seen.setdefault(t, len(seen)))
-            return
-        for a in t.args:
-            walk(a)
-
-    for a in lit.args:
-        walk(a)
-    return tuple(pattern)
+    seen: dict[Var, int] = {}
+    return tuple(seen.setdefault(v, len(seen)) for v in _variable_occurrences([lit]))
 
 
 def render_clause(c: Clause) -> str:
     """Canonical, renaming-invariant rendering.
 
-    Literals are grouped by (sign, skeleton); group order is fixed by the
-    skeleton sort (positives first). Same-skeleton literals differ only in
-    variable identity, so the rendering that wins is the minimum over all
+    Literals are grouped by skeleton, which carries the sign, so group order
+    puts positives first. Same-skeleton literals differ only in variable
+    identity, so the rendering that wins is the minimum over all
     within-group orderings under first-occurrence renaming. The minimum is
     global: a partial-prefix tie between two orderings can still bind
     variables differently and diverge in a later group.
     """
-    pos = sorted((l for l in c.literals if l.positive), key=_skeleton)
-    negs = sorted((l for l in c.literals if not l.positive), key=_skeleton)
-    ordered = pos + negs
-
-    groups: list[list[Literal]] = []
-    for lit in ordered:
-        if (
-            groups
-            and _skeleton(groups[-1][0]) == _skeleton(lit)
-            and groups[-1][0].positive == lit.positive
-        ):
-            groups[-1].append(lit)
-        else:
-            groups.append([lit])
-
-    combinations = 1
-    for group in groups:
-        for k in range(2, len(group) + 1):
-            combinations *= k
-    if combinations > _PERMUTE_BUDGET:
+    keyed = sorted(((_skeleton(l), l) for l in c.literals), key=itemgetter(0))
+    groups = [[l for _, l in group] for _, group in groupby(keyed, key=itemgetter(0))]
+    if prod(factorial(len(g)) for g in groups) > _PERMUTE_BUDGET:
         # Clauses with this many renaming-twin literals are outside the
         # artifact's domain; settle for a deterministic structural order.
         flat = [
@@ -337,31 +313,15 @@ def render_clause(c: Clause) -> str:
             for lit in sorted(group, key=lambda l: (_local_var_pattern(l), _rendered_with_renaming([l])))
         ]
         return _rendered_with_renaming(flat)
-
-    best: str | None = None
-    for choice in product(*(permutations(g) for g in groups)):
-        text = _rendered_with_renaming([lit for group in choice for lit in group])
-        if best is None or text < best:
-            best = text
-    assert best is not None
-    return best
-
-
-def _program_sort_key(c: Clause) -> tuple:
-    rendered = render_clause(c)
-    if c.is_definite:
-        head = c.head
-        return (head.predicate, head.arity, c.max_depth(), rendered)
-    return ("", -1, c.max_depth(), rendered)
+    return min(
+        _rendered_with_renaming([lit for group in choice for lit in group])
+        for choice in product(*(permutations(g) for g in groups))
+    )
 
 
 def render_program(p: HornProgram) -> str:
     """Clauses sorted by (head predicate, arity, depth, rendering), newline
     separated, no trailing newline. Variant-equal clauses render identically
     and are emitted once. Empty program renders as ''."""
-    lines = []
-    for c in sorted(p.clauses, key=_program_sort_key):
-        line = render_clause(c)
-        if not lines or lines[-1] != line:
-            lines.append(line)
-    return "\n".join(lines)
+    keys = {(c.head.predicate, c.head.arity, c.max_depth(), render_clause(c)) for c in p}
+    return "\n".join(key[-1] for key in sorted(keys))

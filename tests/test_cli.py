@@ -4,7 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from hornlearn import StageRecord, System, config_for_stream, render_literal, run_stream
+from hornlearn import (
+    StageRecord,
+    System,
+    config_for_stream,
+    parse_example_stream,
+    parse_program,
+    render_literal,
+    run_stream,
+)
 from hornlearn.cases import even_reordered_stream
 from hornlearn.cli import main
 
@@ -304,3 +312,50 @@ def test_rlgg_saturation_over_the_cap_is_a_usage_error(tmp_path, capsys):
     code, out, err = run(capsys, "rlgg", "--background", str(bg), "--example", "p(0)")
     assert code == 2 and not out
     assert "--policy ground" in err
+
+
+@pytest.mark.parametrize(
+    "program,depth,needle",
+    [
+        ("q(X).\nr(f(0, 0)).\n", "6", "would hold 458330 terms at depth 6"),
+        ("q(X, Y).\nr(f(0, 0)).\n", "5", "2 unbound head variables would have 677^2 instances"),
+    ],
+    ids=["universe", "head-instances"],
+)
+def test_model_over_the_universe_cap_is_a_usage_error(tmp_path, capsys, program, depth, needle):
+    path = tmp_path / "wide.pl"
+    path.write_text(program)
+    code, out, err = run(capsys, "model", "--program", str(path), "--depth", depth)
+    assert code == 2 and not out
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert needle in err and "lower the depth bound" in err
+
+
+def test_learn_analyze_and_rlgg_default_bound_covers_the_background(tmp_path, capsys):
+    bg = tmp_path / "bg.pl"
+    bg.write_text("q(s(s(s(s(s(s(0))))))).\n")
+    stream = tmp_path / "stream.pl"
+    stream.write_text("p(0).\n")
+    trace = tmp_path / "trace.jsonl"
+    rule = "p(0) :- q(s(s(s(s(s(s(0)))))))."
+    code, out, _ = run(
+        capsys, "learn", "--system", "golem", "--examples", str(stream),
+        "--background", str(bg), "--trace", str(trace),
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "% 1 stage(s), depth bound 11"
+    assert rule in out.splitlines()
+    code, out, _ = run(capsys, "analyze", "--trace", str(trace))
+    assert code == 0
+    report = json.loads(out)
+    assert report["candidateModel"]["depthBound"] == 11
+    assert report["correctness"] == {"p(0)": True}
+    cfg = config_for_stream(
+        parse_example_stream("p(0)."), System.GOLEM, background=parse_program(bg.read_text())
+    )
+    assert cfg.depth_bound == 11
+    code, out, _ = run(
+        capsys, "rlgg", "--background", str(bg), "--example", "p(0)", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out) == {"clauses": [rule], "depthBound": 11}

@@ -20,7 +20,7 @@ from hornlearn import (
 from hornlearn.cases import even_ascending_stream, even_atom, even_reordered_stream
 from hornlearn.limits import default_window
 from hornlearn.metric import is_simple_program
-from hornlearn.subsumption import clause_key
+from hornlearn.syntax import render_clause
 
 A = fact(atom("a"))
 B = fact(atom("b"))
@@ -47,7 +47,7 @@ def record(stage, program, example=None):
 def test_constant_sequence_liminf_equals_limsup():
     snaps = [prog(A), prog(A), prog(A)]
     liminf, limsup = window_limits(snaps, 2)
-    assert {clause_key(c) for c in liminf} == {clause_key(A)}
+    assert {render_clause(c) for c in liminf} == {render_clause(A)}
     assert liminf == limsup
 
 
@@ -55,7 +55,7 @@ def test_alternating_sequence_splits():
     snaps = [prog(A), prog(B), prog(A), prog(B)]
     liminf, limsup = window_limits(snaps, 4)
     assert liminf == frozenset()
-    assert {clause_key(c) for c in limsup} == {clause_key(A), clause_key(B)}
+    assert {render_clause(c) for c in limsup} == {render_clause(A), render_clause(B)}
 
 
 def test_window_must_fit_prefix():
@@ -71,8 +71,8 @@ def test_liminf_subset_of_limsup_and_window_monotonicity():
     # Shrinking the window can only grow liminf and shrink limsup.
     li5, ls5 = window_limits(snaps, 5)
     li2, ls2 = window_limits(snaps, 2)
-    assert {clause_key(c) for c in li5} <= {clause_key(c) for c in li2}
-    assert {clause_key(c) for c in ls2} <= {clause_key(c) for c in ls5}
+    assert {render_clause(c) for c in li5} <= {render_clause(c) for c in li2}
+    assert {render_clause(c) for c in ls2} <= {render_clause(c) for c in ls5}
 
 
 def test_reordered_trace_window_limits():
@@ -80,7 +80,7 @@ def test_reordered_trace_window_limits():
     records = run_stream(stream, config_for_stream(stream, System.GOLEM))
     liminf, limsup = window_limits([r.program for r in records], 4)
     rule = parse_program("p(X) :- p(s(s(X))).")
-    assert {clause_key(c) for c in liminf} == {clause_key(next(iter(rule)))}
+    assert {render_clause(c) for c in liminf} == {render_clause(next(iter(rule)))}
     assert len(limsup) == 5  # the rule plus four rotating unit facts
 
 
@@ -114,7 +114,7 @@ def test_occurrence_intervals_are_reported():
     snaps = [prog(A, B), prog(A), prog(A, B), prog(A, B)]
     trace = [record(i, p) for i, p in enumerate(snaps)]
     report = convergence_report(trace, set(), 4, 4)
-    assert report.per_clause_occurrences[clause_key(B)] == [(0, 0), (2, 3)]
+    assert report.per_clause_occurrences[render_clause(B)] == [(0, 0), (2, 3)]
     assert report.verdict is Verdict.DIVERGENT
 
 
@@ -122,6 +122,14 @@ def test_default_window():
     assert default_window(11) == 4
     assert default_window(12) == 4
     assert default_window(30) == 10
+
+
+def test_default_window_fits_short_traces():
+    for n in (1, 2, 3):
+        assert default_window(n) == n
+        trace = [record(i, prog(A)) for i in range(n)]
+        report = convergence_report(trace, set(), default_window(n), 4)
+        assert report.verdict is Verdict.STABLE
 
 
 def test_eventually_constant_sequence_stable_for_every_fitting_window():

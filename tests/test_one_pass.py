@@ -1,5 +1,6 @@
-"""Differential tests: the one-pass reductions and the backward restart scan
-against the rescanning versions they replaced, kept here as oracles only."""
+"""Differential tests: the one-pass reductions, the backward restart scan and
+the one-read priority sort against the rescanning versions they
+replaced, kept here as oracles only."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ import random
 import pytest
 
 from hornlearn import Clause, HornProgram, Literal, reduce_program, theta_subsumes
-from hornlearn.learner import _restart_stage, _strictly_precedes
+from hornlearn.learner import _priority_sorted, _restart_stage, _strictly_precedes
+from hornlearn.metric import priority_precedes
 from hornlearn.semantics import least_model_bounded
 from hornlearn.subsumption import reduce_clause
 from hornlearn.syntax import literal_order, render_clause
@@ -84,6 +86,25 @@ def oracle_restart_stage(arrivals: list[Literal], e: Literal) -> int | None:
         j = min(earlier)
 
 
+def oracle_priority_sorted(pending: list[Literal]) -> list[Literal]:
+    """Repeatedly take the first remaining arrival that nothing remaining is
+    strictly below, asking the pre-order for every pair."""
+    remaining = list(dict.fromkeys(pending))
+    ordered = []
+    while remaining:
+        minimal = next(
+            a
+            for a in remaining
+            if not any(
+                b is not a and priority_precedes(b, a) and not priority_precedes(a, b)
+                for b in remaining
+            )
+        )
+        remaining.remove(minimal)
+        ordered.append(minimal)
+    return ordered
+
+
 def outcome(fn, *args):
     """The result, or the exception type and message, for comparing paths
     that must also fail alike (a variable-only signature has no universe)."""
@@ -138,3 +159,23 @@ def test_restart_stage_backward_scan_equals_closure_oracle(rng, sig, max_depth, 
         if got is not None and got < min(triggers):
             closed_below_trigger += 1
     assert closed_below_trigger > 0
+
+
+@pytest.mark.parametrize("sig,max_depth,depth_bound", SIGNATURES)
+def test_priority_sorted_equals_selection_oracle(rng, sig, max_depth, depth_bound):
+    reordered = equivalents = 0
+    for _ in range(400):
+        pool = [random_atom(rng, sig, max_depth) for _ in range(5)]
+        # Same subterms under another predicate: equivalent, not equal.
+        pool += [Literal(True, "r", a.args) for a in pool[:2]]
+        pending = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+        got = _priority_sorted(pending)
+        assert got == oracle_priority_sorted(pending), pending
+        distinct = list(dict.fromkeys(pending))
+        reordered += got != distinct
+        equivalents += any(
+            a != b and priority_precedes(a, b) and priority_precedes(b, a)
+            for a in distinct
+            for b in distinct
+        )
+    assert reordered > 50 and equivalents > 50

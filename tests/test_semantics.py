@@ -57,6 +57,13 @@ def test_universe_binary_counts():
     assert len(bounded_universe({("0", 0), ("s", 1), ("f", 2)}, 3)) == 13
 
 
+def test_universe_refuses_a_level_over_the_cap():
+    # |U_d| for {0, f/2}: 1, 2, 5, 26, 677, 458330.
+    assert len(bounded_universe({("0", 0), ("f", 2)}, 5)) == 677
+    with pytest.raises(ValueError, match="458330 terms at depth 6"):
+        bounded_universe({("0", 0), ("f", 2)}, 6)
+
+
 # --- immediate consequence step ----------------------------------------------
 
 
