@@ -81,7 +81,7 @@ def cmd_rlgg(args: argparse.Namespace) -> int:
     depth = args.depth
     if depth is None:
         depth = default_depth_bound(literal_depth(example), background)
-    if len(background) and is_covered(background, example, depth):
+    if is_covered(background, example, depth):
         print(f"% example {render_literal(example)} is already covered at depth {depth}")
         return EXIT_OK
     clauses = saturate(background, example, SaturationPolicy(args.policy), depth)
@@ -167,13 +167,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def _load_trace(path: str) -> list[StageRecord]:
     """Rebuild stage records from a trace file (canonical program text); a
-    malformed line is a ParseError naming its line number."""
+    malformed line, or a stage that does not follow the one before it, is a
+    ParseError naming its line number. The first stage may be above 0, as
+    in a trace's tail."""
     records = []
     for n, line in enumerate(_read(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            records.append(StageRecord.from_json_dict(json.loads(line)))
+            record = StageRecord.from_json_dict(json.loads(line))
+            if records and record.stage != records[-1].stage + 1:
+                raise ValueError(f"stage {record.stage} does not follow stage {records[-1].stage}")
+            records.append(record)
         except json.JSONDecodeError as exc:
             raise ParseError(f"trace line is not JSON: {exc.msg}", n, exc.colno) from exc
         except ValueError as exc:

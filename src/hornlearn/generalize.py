@@ -23,7 +23,6 @@ from .logic import (
     Term,
     Var,
     is_ground_literal,
-    literal_variables,
 )
 from .metric import clause_distance
 from .semantics import least_model_bounded
@@ -60,14 +59,6 @@ class PairTable:
         return v
 
 
-def _reserved_names(c: Clause, d: Clause) -> set[str]:
-    names = set()
-    for clause in (c, d):
-        for lit in clause.literals:
-            names |= {v.name for v in literal_variables(lit)}
-    return names
-
-
 def lgg_terms(t: Term, s: Term, table: PairTable) -> Term:
     """Argumentwise recursion on equal roots, a table variable otherwise.
     Variables act as 0-arity symbols, so lgg(X, X) = X."""
@@ -102,7 +93,7 @@ def lgg_clauses(c: Clause, d: Clause, table: PairTable | None = None) -> Clause:
     """
     if table is None:
         table = PairTable()
-    table.reserve(_reserved_names(c, d))
+    table.reserve({v.name for v in c.variables() | d.variables()})
     out = []
     for l in sorted(c.literals, key=literal_order):
         for m in sorted(d.literals, key=literal_order):

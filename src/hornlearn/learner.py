@@ -116,6 +116,10 @@ class StageRecord:
         for key, kind in (("stage", int), ("example", str), ("action", str), ("program", str)):
             if not isinstance(obj.get(key), kind):
                 raise ValueError(f"trace field {key!r} is missing or not a {kind.__name__}")
+        if isinstance(obj["stage"], bool) or obj["stage"] < 0:
+            raise ValueError(f"trace field 'stage' is not a stage number: {obj['stage']!r}")
+        if not isinstance(obj.get("simple", False), bool):
+            raise ValueError(f"trace field 'simple' is not a bool: {obj['simple']!r}")
         action = re.fullmatch(r"(covered|extended)|restarted\((\d+)\)", obj["action"])
         if action is None:
             raise ValueError(f"unknown trace action {obj['action']!r}")

@@ -53,7 +53,8 @@ class LimitReport:
             "schemaVersion": SCHEMA_VERSION,
             "windowSize": self.window_size,
             "liminfWindow": sorted(render_clause(c) for c in self.liminf_window),
-            "limsupWindow": sorted(render_clause(c) for c in self.limsup_window),
+            # The occurrence keys are exactly the limsup clauses' texts.
+            "limsupWindow": sorted(self.per_clause_occurrences),
             "perClauseOccurrences": {
                 key: [list(iv) for iv in ivs]
                 for key, ivs in sorted(self.per_clause_occurrences.items())

@@ -10,6 +10,7 @@ depth 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 
@@ -214,10 +215,11 @@ class Clause:
     def is_unit(self) -> bool:
         return len(self.literals) == 1
 
-    @property
+    @cached_property
     def unbound_head_variables(self) -> frozenset[Var]:
         """Head variables that occur in no body literal. Defined for definite
-        clauses only."""
+        clauses only. Cached: grounding asks for it once per clause and T_P
+        round."""
         return literal_variables(self.head).difference(*map(literal_variables, self.body))
 
     @property

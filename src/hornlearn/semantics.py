@@ -7,6 +7,10 @@ fragment. For simple programs (every body subterm occurs in the head) the
 bounded least model equals the depth-restricted fragment of the true least
 model, because no derivation of a shallow atom needs a deeper premise.
 
+A rule fires once for every substitution that maps its body atoms into the
+current atom set; `subsumption.substitutions`, the search theta-subsumption
+also uses, enumerates them.
+
 Rule heads whose instantiated depth exceeds the bound are silently not
 derived (frontier truncation), which keeps the model well-defined as the
 depth-<=D fragment.
@@ -32,14 +36,12 @@ from .logic import (
     HornProgram,
     Literal,
     Term,
-    Var,
     apply_to_literal,
     is_ground_literal,
     literal_depth,
-    literal_variables,
     term_signature,
 )
-from .subsumption import match_literals
+from .subsumption import substitutions
 from .syntax import render_literal
 
 _UNIVERSE_CAP = 200_000
@@ -68,9 +70,8 @@ def bounded_universe(
     Depth counts nodes: constants have depth 1. U_d is the constants plus
     every f(t...) with arguments in U_{d-1}, so its size, |constants| plus
     |U_{d-1}|^arity per function, is known before it is built; a level over
-    _UNIVERSE_CAP is a ValueError."""
-    if depth_bound < 1:
-        raise ValueError("depth bound must be a positive integer")
+    _UNIVERSE_CAP is a ValueError. The bound is at least 1, as
+    least_model_bounded checks."""
     constants = frozenset(Fn(name) for name, arity in signature if arity == 0)
     functions = [(name, arity) for name, arity in signature if arity > 0]
     if not constants:
@@ -119,35 +120,15 @@ def _ground_clause_instances(
 ) -> list[Literal]:
     """Heads of ground instances whose bodies hold in `atoms`.
 
-    Bodies are grounded by matching body atoms against the current atom set;
-    head variables not bound by the body fall back to universe enumeration.
+    Bodies are grounded by `substitutions` into the current atom set; head
+    variables not bound by the body range over the universe.
     """
-    bindings: list[dict[Var, Term]] = [{}]
-    for b in clause.body:
-        next_bindings: list[dict[Var, Term]] = []
-        for theta in bindings:
-            for a in atoms:
-                extended = match_literals(b, a, theta)
-                if extended is not None:
-                    next_bindings.append(dict(extended))
-        bindings = next_bindings
-        if not bindings:
-            return []
-
-    head = clause.head
-    heads: list[Literal] = []
-    for theta in bindings:
-        instantiated = apply_to_literal(head, theta)
-        free = literal_variables(instantiated)
-        if not free:
-            heads.append(instantiated)
-            continue
-        free_vars = tuple(free)
-        for values in product(universe, repeat=len(free_vars)):
-            full = dict(theta)
-            full.update(zip(free_vars, values))
-            heads.append(apply_to_literal(head, full))
-    return heads
+    head, free = clause.head, tuple(clause.unbound_head_variables)
+    return [
+        apply_to_literal(head, theta | dict(zip(free, values)))
+        for theta in substitutions(clause.body, atoms, {})
+        for values in product(universe, repeat=len(free))
+    ]
 
 
 def tp_step(
@@ -175,7 +156,10 @@ def least_model_bounded(
     signature: frozenset[tuple[str, int]] | None = None,
 ) -> BoundedModel:
     """Iterate tp_step from the empty set to its fixpoint (the bounded base is
-    finite and the step is inflationary and monotone, so this terminates)."""
+    finite and the step is inflationary and monotone, so this terminates).
+    A bound below 1 is a ValueError: no atom has depth 0."""
+    if depth_bound < 1:
+        raise ValueError("depth bound must be a positive integer")
     universe = _universe_for(p, depth_bound, signature)
     atoms: frozenset[Literal] = frozenset()
     while True:
@@ -189,16 +173,11 @@ def covers(
     p: HornProgram,
     examples: frozenset[Literal] | set[Literal],
     depth_bound: int,
-    allow_deeper: bool = False,
 ) -> dict[Literal, bool]:
-    """Per-example membership in the bounded least model.
-
-    Examples deeper than the bound are rejected with a sizing hint unless
-    allow_deeper is set, in which case they are reported uncovered (a
-    depth-bounded model cannot contain them).
-    """
+    """Per-example membership in the bounded least model. Examples deeper
+    than the bound are rejected with a sizing hint."""
     too_deep = [e for e in examples if literal_depth(e) > depth_bound]
-    if too_deep and not allow_deeper:
+    if too_deep:
         worst = max(literal_depth(e) for e in too_deep)
         raise ValueError(
             f"{len(too_deep)} example(s) exceed depth bound {depth_bound}; "

@@ -2,12 +2,14 @@
 Theta-subsumption and clause variant equality.
 
 Clause c subsumes d iff some substitution theta over c's variables makes
-c·theta a literal subset of d. The search is complete backtracking over
-literal matchings; clause sizes in this artifact stay small, so correctness
-wins over speed.
+c·theta a literal subset of d. The search, `substitutions`, is complete
+backtracking over literal matchings; it also grounds rule bodies for the
+immediate-consequence step in `semantics`.
 """
 
 from __future__ import annotations
+
+from collections.abc import Collection, Iterator, Sequence
 
 from .logic import Clause, Literal, Substitution, Term, Var, literal_variables
 from .syntax import literal_order, render_clause
@@ -47,6 +49,22 @@ def match_literals(
     return theta
 
 
+def substitutions(
+    patterns: Sequence[Literal], targets: Collection[Literal], theta: dict[Var, Term]
+) -> Iterator[dict[Var, Term]]:
+    """Every extension of theta that maps each pattern literal onto some
+    target literal, depth-first: the first pattern tries the targets in their
+    iteration order, and each match recurses on the remaining patterns. This
+    is the one search behind both theta-subsumption and T_P grounding."""
+    if not patterns:
+        yield theta
+        return
+    for target in targets:
+        extended = match_literals(patterns[0], target, theta)
+        if extended is not None:
+            yield from substitutions(patterns[1:], targets, extended)
+
+
 def theta_subsumes(c: Clause, d: Clause) -> tuple[bool, Substitution | None]:
     """Whether c theta-subsumes d; on success also the witness substitution.
 
@@ -57,22 +75,8 @@ def theta_subsumes(c: Clause, d: Clause) -> tuple[bool, Substitution | None]:
     # text tiebreak keeps the found witness deterministic.
     c_lits = sorted(c.literals, key=lambda l: (len(literal_variables(l)), literal_order(l)))
     d_lits = sorted(d.literals, key=literal_order)
-
-    def search(i: int, theta: dict[Var, Term]) -> dict[Var, Term] | None:
-        if i == len(c_lits):
-            return theta
-        for target in d_lits:
-            extended = match_literals(c_lits[i], target, theta)
-            if extended is not None:
-                found = search(i + 1, extended)
-                if found is not None:
-                    return found
-        return None
-
-    witness = search(0, {})
-    if witness is None:
-        return False, None
-    return True, witness
+    witness = next(substitutions(c_lits, d_lits, {}), None)
+    return witness is not None, witness
 
 
 def subsumes(c: Clause, d: Clause) -> bool:

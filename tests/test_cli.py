@@ -285,8 +285,21 @@ def assert_one_line_parse_error(code, err, needle):
          "unknown trace action 'jumped' (line 2"),
         ('{"stage": 1, "example": "p(X)", "action": "covered", "program": ""}',
          "example is not ground: p(X) (line 2"),
+        ('{"stage": 1, "example": "p(0)", "action": "covered", "program": "", "simple": "no"}',
+         "trace field 'simple' is not a bool: 'no' (line 2"),
+        ('{"stage": 1, "example": "p(0)", "action": "covered", "program": "", "simple": 3}',
+         "trace field 'simple' is not a bool: 3 (line 2"),
+        ('{"stage": true, "example": "p(0)", "action": "covered", "program": ""}',
+         "trace field 'stage' is not a stage number: True (line 2"),
+        ('{"stage": -1, "example": "p(0)", "action": "covered", "program": ""}',
+         "trace field 'stage' is not a stage number: -1 (line 2"),
+        ('{"stage": 7, "example": "p(0)", "action": "covered", "program": ""}',
+         "stage 7 does not follow stage 0 (line 2"),
     ],
-    ids=["not-json", "not-an-object", "missing-key", "unknown-action", "non-ground-example"],
+    ids=[
+        "not-json", "not-an-object", "missing-key", "unknown-action", "non-ground-example",
+        "simple-not-bool", "simple-int", "stage-bool", "stage-negative", "stage-gap",
+    ],
 )
 def test_analyze_malformed_trace_line_is_a_parse_error(tmp_path, capsys, line, needle):
     trace = tmp_path / "trace.jsonl"
@@ -294,6 +307,27 @@ def test_analyze_malformed_trace_line_is_a_parse_error(tmp_path, capsys, line, n
     trace.write_text(f"{good}\n{line}\n")
     code, _, err = run(capsys, "analyze", "--trace", str(trace))
     assert_one_line_parse_error(code, err, needle)
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (("model", "--program", "{program}", "--depth", "0"), "depth bound must be a positive"),
+        (("analyze", "--trace", "{trace}", "--depth", "0"), "depth bound must be a positive"),
+        (("rlgg", "--example", "p(0)", "--depth", "0"), "exceed depth bound 0"),
+    ],
+    ids=["model", "analyze", "rlgg"],
+)
+def test_depth_bound_below_one_is_a_usage_error(tmp_path, capsys, argv, needle):
+    program = tmp_path / "p.pl"
+    program.write_text("p(0).\n")
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"stage": 0, "example": "p(0)", "action": "extended", "program": "p(0)."}\n')
+    argv = [a.format(program=program, trace=trace) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert needle in err
 
 
 def test_deeply_nested_input_is_a_parse_error(tmp_path, capsys):

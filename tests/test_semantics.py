@@ -134,11 +134,6 @@ def test_covers_rejects_too_deep_example_with_hint():
         covers(CHAIN_UP, {even_atom(8)}, 7)
 
 
-def test_covers_allow_deeper_reports_uncovered():
-    got = covers(CHAIN_UP, {even_atom(8)}, 7, allow_deeper=True)
-    assert got == {even_atom(8): False}
-
-
 def test_covers_widens_signature_with_example_symbols():
     # r(Y). names no constant, so only the example's a grounds its universe.
     r_a = atom("r", Fn("a"))

@@ -1,0 +1,161 @@
+"""Differential tests: theta-subsumption and T_P grounding, which share
+`subsumption.substitutions`, against the two searches it replaced (the
+recursive first-witness search and the breadth-first binding lists), kept
+here as oracles only."""
+
+from __future__ import annotations
+
+import random
+from itertools import product
+
+import pytest
+
+from hornlearn import Clause, HornProgram, Literal, bounded_universe, theta_subsumes, tp_step
+from hornlearn.logic import apply_to_clause, apply_to_literal, literal_depth, literal_variables
+from hornlearn.semantics import _ground_clause_instances
+from hornlearn.subsumption import match_literals, substitutions
+from hornlearn.syntax import literal_order
+
+from conftest import (
+    SIG_BINARY,
+    SIG_UNARY,
+    VAR_POOL,
+    random_atom,
+    random_clause,
+    random_definite_clause,
+    random_literal,
+    random_term,
+)
+
+# (signature, term depth of the random inputs, depth bound of the steps).
+# SIG_BINARY stays shallow: its bounded universe grows doubly exponentially.
+SIGNATURES = [(SIG_UNARY, 3, 5), (SIG_BINARY, 2, 3)]
+
+
+def oracle_theta_subsumes(c: Clause, d: Clause):
+    """Recursive search that returns the first witness it completes."""
+    c_lits = sorted(c.literals, key=lambda l: (len(literal_variables(l)), literal_order(l)))
+    d_lits = sorted(d.literals, key=literal_order)
+
+    def search(i, theta):
+        if i == len(c_lits):
+            return theta
+        for target in d_lits:
+            extended = match_literals(c_lits[i], target, theta)
+            if extended is not None:
+                found = search(i + 1, extended)
+                if found is not None:
+                    return found
+        return None
+
+    witness = search(0, {})
+    if witness is None:
+        return False, None
+    return True, witness
+
+
+def oracle_ground_clause_instances(clause: Clause, atoms, universe) -> list[Literal]:
+    """Breadth-first: every binding of the body, one literal at a time, then
+    the free variables of each instantiated head over the universe."""
+    bindings = [{}]
+    for b in clause.body:
+        next_bindings = []
+        for theta in bindings:
+            for a in atoms:
+                extended = match_literals(b, a, theta)
+                if extended is not None:
+                    next_bindings.append(dict(extended))
+        bindings = next_bindings
+        if not bindings:
+            return []
+
+    head = clause.head
+    heads = []
+    for theta in bindings:
+        instantiated = apply_to_literal(head, theta)
+        free = literal_variables(instantiated)
+        if not free:
+            heads.append(instantiated)
+            continue
+        free_vars = tuple(free)
+        for values in product(universe, repeat=len(free_vars)):
+            full = dict(theta)
+            full.update(zip(free_vars, values))
+            heads.append(apply_to_literal(head, full))
+    return heads
+
+
+def oracle_tp_step(p: HornProgram, atoms, depth_bound: int, universe) -> frozenset[Literal]:
+    out = set(atoms)
+    for clause in p:
+        for h in oracle_ground_clause_instances(clause, atoms, universe):
+            if literal_depth(h) <= depth_bound:
+                out.add(h)
+    return frozenset(out)
+
+
+def _instance(rng: random.Random, c: Clause, functors, max_depth: int) -> Clause:
+    """c under a random substitution of its variables (not always ground)."""
+    theta = {
+        v: random_term(rng, functors, max_depth, ground=rng.random() < 0.7)
+        for v in c.variables()
+    }
+    return apply_to_clause(c, theta)
+
+
+@pytest.mark.parametrize("sig,depth,_bound", SIGNATURES, ids=["unary", "binary"])
+def test_theta_subsumes_returns_the_oracle_witness(sig, depth, _bound):
+    rng = random.Random(5150 + len(sig[1]))
+    functors = sig[0]
+    hits = misses = several = 0
+    for _ in range(400):
+        c = random_clause(rng, sig, depth)
+        # Two instances of c plus noise give d several candidate witnesses;
+        # an unrelated clause mostly gives none.
+        if rng.random() < 0.6:
+            d = Clause(
+                _instance(rng, c, functors, depth).literals
+                | _instance(rng, c, functors, depth).literals
+                | {random_literal(rng, sig, depth, ground=False) for _ in range(rng.randint(0, 2))}
+            )
+        else:
+            d = random_clause(rng, sig, depth, max_literals=4)
+        want = oracle_theta_subsumes(c, d)
+        assert theta_subsumes(c, d) == want, (c, d)
+        if want[0]:
+            hits += 1
+            several += len(list(substitutions(list(c), d.literals, {}))) > 1
+        else:
+            misses += 1
+    assert hits > 100 and misses > 100 and several > 50, (hits, misses, several)
+
+
+def _variable_headed_unit(rng: random.Random, sig, depth: int) -> Clause:
+    head = random_atom(rng, sig, depth, ground=False)
+    if not literal_variables(head):
+        head = Literal(True, head.predicate, (rng.choice(VAR_POOL),) + head.args[1:])
+    return Clause([head])
+
+
+@pytest.mark.parametrize("sig,depth,bound", SIGNATURES, ids=["unary", "binary"])
+def test_tp_step_equals_the_oracle_step(sig, depth, bound):
+    rng = random.Random(8086 + len(sig[1]))
+    universe = bounded_universe(set(sig[0]), bound)
+    grew = joined = enumerated = 0
+    for _ in range(150):
+        clauses = [random_definite_clause(rng, sig, depth, max_body=3) for _ in range(3)]
+        clauses.append(_variable_headed_unit(rng, sig, depth))
+        p = HornProgram(clauses)
+        atoms = frozenset(random_atom(rng, sig, bound) for _ in range(rng.randint(0, 12)))
+        want = oracle_tp_step(p, atoms, bound, universe)
+        assert tp_step(p, atoms, bound, universe) == want, (p, atoms)
+        grew += want != atoms
+        # Per clause too: a variable-headed unit clause can fill the whole
+        # bounded base and hide the other clauses' heads in the step.
+        for c in p:
+            heads = oracle_ground_clause_instances(c, atoms, universe)
+            assert set(_ground_clause_instances(c, atoms, universe)) == set(heads), (c, atoms)
+            if heads:
+                joined += len(c.body) >= 2
+                enumerated += bool(c.body) and not c.range_restricted
+    assert grew > 100 and joined > 10 and enumerated > 10, (grew, joined, enumerated)
