@@ -101,7 +101,7 @@ def cmd_model(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(
             json.dumps(
-                {"depthBound": model.depth_bound, "saturated": model.saturated, "atoms": atoms},
+                {"depthBound": model.depth_bound, "truncated": model.truncated, "atoms": atoms},
                 indent=2,
             )
         )
@@ -109,7 +109,7 @@ def cmd_model(args: argparse.Namespace) -> int:
         for a in atoms:
             print(f"{a}.")
         print(f"% {len(atoms)} atom(s), depth bound {model.depth_bound}, "
-              f"saturated: {'yes' if model.saturated else 'no'}")
+              f"truncated: {model.truncated}")
     return EXIT_OK
 
 

@@ -123,6 +123,12 @@ class StageRecord:
         action = re.fullmatch(r"(covered|extended)|restarted\((\d+)\)", obj["action"])
         if action is None:
             raise ValueError(f"unknown trace action {obj['action']!r}")
+        restarted_from = int(action[2]) if action[2] else None
+        if restarted_from is not None and restarted_from >= obj["stage"]:
+            raise ValueError(
+                f"trace action {obj['action']!r} does not restart at an earlier stage "
+                f"than {obj['stage']}"
+            )
         example = parse_atom(obj["example"])
         if not is_ground_literal(example):
             raise ValueError(f"example is not ground: {render_literal(example)}")
@@ -131,7 +137,7 @@ class StageRecord:
             stage=obj["stage"],
             example=example,
             action=Action(action[1] or "restarted"),
-            restarted_from=int(action[2]) if action[2] else None,
+            restarted_from=restarted_from,
             program=program,
             simple=obj["simple"] if "simple" in obj else is_simple_program(program),
         )

@@ -70,7 +70,7 @@ class LimitReport:
             "limitCorrect": self.limit_correct,
             "candidateModel": {
                 "depthBound": self.candidate_model.depth_bound,
-                "saturated": self.candidate_model.saturated,
+                "truncated": self.candidate_model.truncated,
                 "atoms": [render_literal(a) for a in self.candidate_model.sorted_atoms()],
             },
         }

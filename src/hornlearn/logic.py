@@ -176,31 +176,33 @@ class Clause:
     def __len__(self) -> int:
         return len(self.literals)
 
-    @property
-    def positives(self) -> list[Literal]:
-        return [l for l in self.literals if l.positive]
+    # The views below are cached: a Clause is immutable, and T_P asks for
+    # head and body once per clause and round.
+    @cached_property
+    def positives(self) -> tuple[Literal, ...]:
+        return tuple(l for l in self.literals if l.positive)
 
-    @property
-    def negatives(self) -> list[Literal]:
-        return [l for l in self.literals if not l.positive]
+    @cached_property
+    def negatives(self) -> tuple[Literal, ...]:
+        return tuple(l for l in self.literals if not l.positive)
 
     @property
     def is_definite(self) -> bool:
         return len(self.positives) == 1
 
-    @property
+    @cached_property
     def head(self) -> Literal:
         pos = self.positives
         if len(pos) != 1:
             raise ValueError(f"clause is not definite: {self}")
         return pos[0]
 
-    @property
-    def body(self) -> list[Literal]:
+    @cached_property
+    def body(self) -> tuple[Literal, ...]:
         """Body atoms (positive form) of a definite clause."""
         if not self.is_definite:
             raise ValueError(f"clause is not definite: {self}")
-        return [l.atom() for l in self.literals if not l.positive]
+        return tuple(l.atom() for l in self.negatives)
 
     @property
     def is_fact(self) -> bool:
@@ -218,8 +220,7 @@ class Clause:
     @cached_property
     def unbound_head_variables(self) -> frozenset[Var]:
         """Head variables that occur in no body literal. Defined for definite
-        clauses only. Cached: grounding asks for it once per clause and T_P
-        round."""
+        clauses only."""
         return literal_variables(self.head).difference(*map(literal_variables, self.body))
 
     @property

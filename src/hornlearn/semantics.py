@@ -9,11 +9,25 @@ model, because no derivation of a shallow atom needs a deeper premise.
 
 A rule fires once for every substitution that maps its body atoms into the
 current atom set; `subsumption.substitutions`, the search theta-subsumption
-also uses, enumerates them.
+also uses, enumerates them. The least model is computed semi-naively
+(Bancilhon & Ramakrishnan, SIGMOD 1986): round 0 fires the unit clauses,
+and in every later round a rule fires only on substitutions that use an atom
+the previous round added. Body position i searches those new atoms, the
+positions before it the atoms known before that round, and the positions
+after it every atom known, so each instance is found once. `tp_step`, the
+plain immediate-consequence step, is the same round with nothing old.
 
-Rule heads whose instantiated depth exceeds the bound are silently not
-derived (frontier truncation), which keeps the model well-defined as the
-depth-<=D fragment.
+Rule heads whose instantiated depth exceeds the bound are not derived
+(frontier truncation), which keeps the model well-defined as the depth-<=D
+fragment; the model counts the distinct heads dropped this way.
+
+`least_model_bounded` remembers the last model it built, keyed on the
+program, the depth bound and the grounding universe described below. That
+universe is empty unless a clause is not range-restricted, so the widened
+signatures of `examples_model` share one entry. Programs are immutable, so
+an entry never goes stale, and a learner that has settled asks about one
+program over and over. The memo holds one entry (_MODEL_MEMO_SIZE) and
+lives only as long as the process.
 
 Clauses that are not range-restricted (a head variable missing from the
 body, as in the unit clause r(Y).) are grounded by enumerating the bounded
@@ -26,8 +40,9 @@ _UNIVERSE_CAP keeps its cost bounded.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .logic import (
@@ -45,16 +60,22 @@ from .subsumption import substitutions
 from .syntax import render_literal
 
 _UNIVERSE_CAP = 200_000
+# Models kept by least_model_bounded. One suffices: a settled learner asks
+# about the same program again and again. Each entry holds a whole model, so
+# a larger memo raises peak memory.
+_MODEL_MEMO_SIZE = 1
 
 
 @dataclass(frozen=True)
 class BoundedModel:
     """The least set of ground atoms (depth <= depth_bound) closed under the
-    program's rules restricted to the bound."""
+    program's rules restricted to the bound. `truncated` counts the distinct
+    heads the fixpoint dropped for being deeper than the bound: zero means
+    the bound cut nothing off."""
 
     depth_bound: int
     atoms: frozenset[Literal]
-    saturated: bool
+    truncated: int
 
     def __contains__(self, a: Literal) -> bool:
         return a in self.atoms
@@ -116,19 +137,28 @@ def _universe_for(
 
 
 def _ground_clause_instances(
-    clause: Clause, atoms: frozenset[Literal], universe: frozenset[Term]
-) -> list[Literal]:
-    """Heads of ground instances whose bodies hold in `atoms`.
+    clause: Clause,
+    old: frozenset[Literal],
+    new: frozenset[Literal],
+    known: frozenset[Literal],
+    universe: frozenset[Term],
+) -> Iterator[Literal]:
+    """Heads of ground instances whose body holds in known = old | new (old
+    and new disjoint) with at least one body atom in new.
 
-    Bodies are grounded by `substitutions` into the current atom set; head
-    variables not bound by the body range over the universe.
+    Semi-naive split: body position i matches new, the positions before it
+    old, and the ones after it known, so each such instance is found once,
+    at its first position in new. A unit clause has no position and yields
+    its heads on every call. Head variables not bound by the body range over
+    the universe.
     """
-    head, free = clause.head, tuple(clause.unbound_head_variables)
-    return [
-        apply_to_literal(head, theta | dict(zip(free, values)))
-        for theta in substitutions(clause.body, atoms, {})
-        for values in product(universe, repeat=len(free))
-    ]
+    head, body, free = clause.head, clause.body, tuple(clause.unbound_head_variables)
+    # A unit clause takes the one empty split.
+    splits = [[old] * i + [new] + [known] * (len(body) - i - 1) for i in range(len(body))] or [[]]
+    for targets in splits:
+        for theta in substitutions(body, targets, {}):
+            for values in product(universe, repeat=len(free)):
+                yield apply_to_literal(head, theta | dict(zip(free, values)))
 
 
 def tp_step(
@@ -139,15 +169,17 @@ def tp_step(
 ) -> frozenset[Literal]:
     """One immediate-consequence round: atoms plus every rule-head instance
     whose body holds in atoms, truncated at the depth bound. Monotone and
-    inflationary."""
+    inflationary. It is the semi-naive round with nothing old and every atom
+    new."""
     if universe is None:
         universe = _universe_for(p, depth_bound)
-    out = set(atoms)
-    for clause in p:
-        for h in _ground_clause_instances(clause, atoms, universe):
-            if literal_depth(h) <= depth_bound:
-                out.add(h)
-    return frozenset(out)
+    empty: frozenset[Literal] = frozenset()
+    return frozenset(atoms).union(
+        h
+        for clause in p
+        for h in _ground_clause_instances(clause, empty, atoms, atoms, universe)
+        if literal_depth(h) <= depth_bound
+    )
 
 
 def least_model_bounded(
@@ -155,18 +187,38 @@ def least_model_bounded(
     depth_bound: int,
     signature: frozenset[tuple[str, int]] | None = None,
 ) -> BoundedModel:
-    """Iterate tp_step from the empty set to its fixpoint (the bounded base is
-    finite and the step is inflationary and monotone, so this terminates).
+    """The fixpoint of tp_step from the empty set (the bounded base is finite
+    and the step is inflationary and monotone, so it exists), computed
+    semi-naively and memoized on (p, depth_bound, universe).
     A bound below 1 is a ValueError: no atom has depth 0."""
     if depth_bound < 1:
         raise ValueError("depth bound must be a positive integer")
-    universe = _universe_for(p, depth_bound, signature)
-    atoms: frozenset[Literal] = frozenset()
+    return _least_model(p, depth_bound, _universe_for(p, depth_bound, signature))
+
+
+@lru_cache(maxsize=_MODEL_MEMO_SIZE)
+def _least_model(p: HornProgram, depth_bound: int, universe: frozenset[Term]) -> BoundedModel:
+    """Round 0 fires every clause on nothing, so only unit clauses derive;
+    every later round fires the rules on the atoms the previous round added.
+    A head deeper than the bound is dropped and counted once."""
+    old: frozenset[Literal] = frozenset()
+    new: frozenset[Literal] = frozenset()
+    dropped: set[Literal] = set()
+    clauses: Iterable[Clause] = p
     while True:
-        nxt = tp_step(p, atoms, depth_bound, universe)
-        if nxt == atoms:
-            return BoundedModel(depth_bound, atoms, saturated=True)
-        atoms = nxt
+        known = old | new
+        fresh: set[Literal] = set()
+        for clause in clauses:
+            for h in _ground_clause_instances(clause, old, new, known, universe):
+                if h in known or h in fresh or h in dropped:
+                    continue
+                if literal_depth(h) <= depth_bound:
+                    fresh.add(h)
+                else:
+                    dropped.add(h)
+        if not fresh:
+            return BoundedModel(depth_bound, known, truncated=len(dropped))
+        old, new, clauses = known, frozenset(fresh), p.rules
 
 
 def covers(

@@ -50,19 +50,23 @@ def match_literals(
 
 
 def substitutions(
-    patterns: Sequence[Literal], targets: Collection[Literal], theta: dict[Var, Term]
+    patterns: Sequence[Literal],
+    targets: Sequence[Collection[Literal]],
+    theta: dict[Var, Term],
 ) -> Iterator[dict[Var, Term]]:
     """Every extension of theta that maps each pattern literal onto some
-    target literal, depth-first: the first pattern tries the targets in their
-    iteration order, and each match recurses on the remaining patterns. This
-    is the one search behind both theta-subsumption and T_P grounding."""
+    literal of the target collection at its position, depth-first: the first
+    pattern tries its targets in their iteration order, and each match
+    recurses on the remaining patterns. This is the one search behind both
+    theta-subsumption (the same clause at every position) and T_P grounding
+    (old, new or all atoms by position, for semi-naive evaluation)."""
     if not patterns:
         yield theta
         return
-    for target in targets:
+    for target in targets[0]:
         extended = match_literals(patterns[0], target, theta)
         if extended is not None:
-            yield from substitutions(patterns[1:], targets, extended)
+            yield from substitutions(patterns[1:], targets[1:], extended)
 
 
 def theta_subsumes(c: Clause, d: Clause) -> tuple[bool, Substitution | None]:
@@ -75,7 +79,7 @@ def theta_subsumes(c: Clause, d: Clause) -> tuple[bool, Substitution | None]:
     # text tiebreak keeps the found witness deterministic.
     c_lits = sorted(c.literals, key=lambda l: (len(literal_variables(l)), literal_order(l)))
     d_lits = sorted(d.literals, key=literal_order)
-    witness = next(substitutions(c_lits, d_lits, {}), None)
+    witness = next(substitutions(c_lits, [d_lits] * len(c_lits), {}), None)
     return witness is not None, witness
 
 

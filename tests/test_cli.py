@@ -295,10 +295,13 @@ def assert_one_line_parse_error(code, err, needle):
          "trace field 'stage' is not a stage number: -1 (line 2"),
         ('{"stage": 7, "example": "p(0)", "action": "covered", "program": ""}',
          "stage 7 does not follow stage 0 (line 2"),
+        ('{"stage": 1, "example": "p(0)", "action": "restarted(9)", "program": "p(0)."}',
+         "trace action 'restarted(9)' does not restart at an earlier stage than 1 (line 2"),
     ],
     ids=[
         "not-json", "not-an-object", "missing-key", "unknown-action", "non-ground-example",
         "simple-not-bool", "simple-int", "stage-bool", "stage-negative", "stage-gap",
+        "restart-not-earlier",
     ],
 )
 def test_analyze_malformed_trace_line_is_a_parse_error(tmp_path, capsys, line, needle):

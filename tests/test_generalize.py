@@ -223,7 +223,7 @@ def test_saturate_every_clause_contains_the_example():
             assert e in c.literals
     # Fact-only backgrounds keep e as the only positive literal.
     for c in saturate(HornProgram((fact(atom("p", ZERO)),)), atom("q", ZERO), SaturationPolicy.PAPER_TRACE, 4):
-        assert c.positives == [atom("q", ZERO)]
+        assert c.positives == (atom("q", ZERO),)
 
 
 def test_saturate_ground_policy_uses_bounded_model():
@@ -232,7 +232,7 @@ def test_saturate_ground_policy_uses_bounded_model():
     (c,) = sigma
     model = least_model_bounded(background, 5)
     assert set(c.negatives) == {a.negated() for a in model.atoms}
-    assert c.positives == [atom("q", ZERO)]
+    assert c.positives == (atom("q", ZERO),)
 
 
 def test_saturate_tautologies_removed():

@@ -211,4 +211,5 @@ def test_report_json_shape():
     assert isinstance(obj["liminfWindow"], list)
     assert isinstance(obj["perClauseOccurrences"], dict)
     assert obj["limitCorrect"] is True
-    assert obj["candidateModel"]["saturated"] is True
+    # p(s^14(0)) is one step past the bound of 13.
+    assert obj["candidateModel"]["truncated"] == 1

@@ -71,7 +71,7 @@ def test_clause_head_body_view():
     c = Clause((neg("p", ZERO), atom("p", s(s(ZERO)))))
     assert c.is_definite
     assert c.head == atom("p", s(s(ZERO)))
-    assert c.body == [atom("p", ZERO)]
+    assert c.body == (atom("p", ZERO),)
 
 
 def test_non_definite_clause_rejected_in_program():

@@ -16,11 +16,20 @@ from hornlearn import (
     parse_program,
     tp_step,
 )
+from hornlearn import semantics
 from hornlearn.cases import even_atom, numeral
-from hornlearn.logic import apply_to_literal, literal_depth
-from hornlearn.semantics import default_depth_bound
+from hornlearn.logic import apply_to_literal, literal_depth, literal_variables
+from hornlearn.semantics import default_depth_bound, examples_model
 
-from conftest import SIG_UNARY, random_simple_program, random_stream
+from conftest import (
+    SIG_BINARY,
+    SIG_UNARY,
+    VAR_POOL,
+    random_definite_clause,
+    random_term,
+    random_simple_program,
+    random_stream,
+)
 
 ZERO = Fn("0")
 
@@ -93,7 +102,8 @@ def test_tp_step_truncates_heads_beyond_bound():
 def test_least_model_ascending_chain_at_bound_7():
     model = least_model_bounded(CHAIN_UP, 7)
     assert model.atoms == {even_atom(0), even_atom(2), even_atom(4), even_atom(6)}
-    assert model.saturated
+    # p(s^8(0)) has depth 9 > 7.
+    assert model.truncated == 1
 
 
 def test_least_model_descending_chain_is_empty():
@@ -225,3 +235,116 @@ def test_bound_monotonicity_for_simple_programs(seed):
         smaller = least_model_bounded(p, bound).atoms
         larger = least_model_bounded(p, bound + 1).atoms
         assert smaller <= larger
+
+
+# --- semi-naive fixpoint and its memo, against the slow paths -----------------
+
+
+def oracle_truncated(p: HornProgram, depth_bound: int, atoms: frozenset) -> int:
+    """Distinct heads deeper than the bound of the instances whose body holds
+    in atoms, every variable ranging over the bounded universe."""
+    universe = sorted(bounded_universe(p.signature(), depth_bound), key=str)
+    dropped = set()
+    for clause in p:
+        variables = sorted(clause.variables(), key=lambda v: v.name)
+        for values in product(universe, repeat=len(variables)):
+            theta = dict(zip(variables, values))
+            head = apply_to_literal(clause.head, theta)
+            if literal_depth(head) > depth_bound and all(
+                apply_to_literal(b, theta) in atoms for b in clause.body
+            ):
+                dropped.add(head)
+    return len(dropped)
+
+
+# The conftest signatures plus q/1 and r/1, so that rules can join atoms of
+# different predicates and rounds.
+SIG_UNARY_PQR = (SIG_UNARY[0], (("p", 1), ("q", 1), ("r", 1)))
+SIG_BINARY_PQR = (SIG_BINARY[0], (("p", 1), ("q", 2), ("r", 1)))
+CHAIN = parse_program("p(0).\np(s(X)) :- p(X).")
+
+
+def random_program_with_unit(rng: random.Random, sig, depth: int) -> HornProgram:
+    """Three random definite clauses with bodies of up to 3 literals, a unit
+    clause with a variable head over r/1 (such as r(Y).) and the chain
+    p(0). p(s(X)) :- p(X)., which derives one p atom per round, so that rule
+    bodies join atoms that arrived in different rounds."""
+    clauses = [random_definite_clause(rng, sig, depth, max_body=3) for _ in range(3)]
+    head = atom("r", random_term(rng, sig[0], depth, ground=False))
+    if not literal_variables(head):
+        head = atom("r", rng.choice(VAR_POOL))
+    return CHAIN.with_clauses(clauses + [fact(head)])
+
+
+@pytest.fixture
+def model_memo():
+    """The memo, emptied before and after the test."""
+    semantics._least_model.cache_clear()
+    yield semantics._least_model
+    semantics._least_model.cache_clear()
+
+
+@pytest.mark.parametrize("sig,depth,bound", [(SIG_UNARY_PQR, 3, 5), (SIG_BINARY_PQR, 2, 3)],
+                         ids=["unary", "binary"])
+def test_semi_naive_model_matches_naive_oracle(sig, depth, bound):
+    rng = random.Random(1986 + len(sig[0]))
+    long_bodies = truncating = 0
+    for _ in range(60):
+        p = random_program_with_unit(rng, sig, depth)
+        model = least_model_bounded(p, bound)
+        assert model.atoms == naive_model_oracle(p, bound), p
+        assert model.truncated == oracle_truncated(p, bound, model.atoms), p
+        long_bodies += any(len(c.body) >= 2 for c in p)
+        truncating += model.truncated > 0
+    assert long_bodies > 30 and truncating > 10, (long_bodies, truncating)
+
+
+@pytest.mark.parametrize("sig,depth,bound", [(SIG_UNARY_PQR, 3, 5), (SIG_BINARY_PQR, 2, 3)],
+                         ids=["unary", "binary"])
+def test_tp_step_iterated_from_empty_reaches_the_least_model(sig, depth, bound):
+    rng = random.Random(1993 + len(sig[0]))
+    for _ in range(60):
+        p = random_program_with_unit(rng, sig, depth)
+        atoms = frozenset()
+        while (nxt := tp_step(p, atoms, bound)) != atoms:
+            atoms = nxt
+        assert least_model_bounded(p, bound).atoms == atoms, p
+
+
+def test_memo_hit_returns_the_fresh_model(model_memo):
+    rng = random.Random(42)
+    for _ in range(20):
+        p = random_program_with_unit(rng, SIG_UNARY_PQR, 3)
+        first = least_model_bounded(p, 5)
+        hits = model_memo.cache_info().hits
+        again = least_model_bounded(p, 5)
+        assert model_memo.cache_info().hits == hits + 1
+        fresh = model_memo.__wrapped__(p, 5, semantics._universe_for(p, 5))
+        assert again == first == fresh
+
+
+def test_memo_never_shares_an_entry_between_depth_bounds(model_memo):
+    shallow = least_model_bounded(CHAIN_UP, 5)
+    misses = model_memo.cache_info().misses
+    deep = least_model_bounded(CHAIN_UP, 7)
+    assert model_memo.cache_info().misses == misses + 1
+    assert (shallow.depth_bound, len(shallow.atoms)) == (5, 3)
+    assert (deep.depth_bound, len(deep.atoms)) == (7, 4)
+    assert least_model_bounded(CHAIN_UP, 5) == shallow
+
+
+def test_memo_keeps_example_signatures_apart_when_the_universe_is_live(model_memo):
+    # r(Y). has no constant of its own: each example's symbols ground it.
+    p = parse_program("r(Y).")
+    r_a, r_b = atom("r", Fn("a")), atom("r", Fn("b"))
+    assert examples_model(p, [r_a], 2).atoms == {r_a}
+    assert examples_model(p, [r_b], 2).atoms == {r_b}
+    assert examples_model(p, [r_a], 2).atoms == {r_a}
+
+
+def test_memo_shares_one_entry_across_signatures_when_no_universe_is_needed(model_memo):
+    a, b = atom("p", Fn("a")), atom("p", Fn("b"))
+    assert not examples_model(CHAIN_UP, [a], 7).atoms & {a, b}
+    hits = model_memo.cache_info().hits
+    assert examples_model(CHAIN_UP, [b], 7) == least_model_bounded(CHAIN_UP, 7)
+    assert model_memo.cache_info().hits == hits + 2

@@ -124,7 +124,7 @@ def test_theta_subsumes_returns_the_oracle_witness(sig, depth, _bound):
         assert theta_subsumes(c, d) == want, (c, d)
         if want[0]:
             hits += 1
-            several += len(list(substitutions(list(c), d.literals, {}))) > 1
+            several += len(list(substitutions(list(c), [d.literals] * len(c), {}))) > 1
         else:
             misses += 1
     assert hits > 100 and misses > 100 and several > 50, (hits, misses, several)
@@ -154,7 +154,8 @@ def test_tp_step_equals_the_oracle_step(sig, depth, bound):
         # bounded base and hide the other clauses' heads in the step.
         for c in p:
             heads = oracle_ground_clause_instances(c, atoms, universe)
-            assert set(_ground_clause_instances(c, atoms, universe)) == set(heads), (c, atoms)
+            got = _ground_clause_instances(c, frozenset(), atoms, atoms, universe)
+            assert set(got) == set(heads), (c, atoms)
             if heads:
                 joined += len(c.body) >= 2
                 enumerated += bool(c.body) and not c.range_restricted

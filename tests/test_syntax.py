@@ -29,7 +29,7 @@ def test_parse_rule_head_and_body():
     p = parse_program("p(s(s(X))) :- p(X).")
     (c,) = list(p)
     assert c.head == atom("p", Fn("s", (Fn("s", (Var("X"),)),)))
-    assert c.body == [atom("p", Var("X"))]
+    assert c.body == (atom("p", Var("X")),)
     assert render_program(p) == "p(s(s(X0))) :- p(X0)."
 
 
