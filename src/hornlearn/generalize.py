@@ -25,7 +25,12 @@ from .logic import (
     is_ground_literal,
 )
 from .metric import clause_distance
-from .semantics import least_model_bounded
+from .semantics import (
+    _ground_clause_instances,
+    _universe_for,
+    examples_model,
+    least_model_bounded,
+)
 from .subsumption import reduce_clause, theta_subsumes
 from .syntax import literal_order, render_clause, render_literal
 
@@ -146,14 +151,16 @@ def saturate(
     disjoins e, and expands to clause normal form with tautologies removed;
     a fact-only background instead yields the single clause e <- facts.
     GROUND_ATOMS yields the single clause whose body is the background's
-    bounded model: { ~q : q in model } ∪ { e }. Callers ask whether e is
-    covered first; a PAPER_TRACE expansion over _SATURATION_CAP is refused.
+    bounded model: { ~q : q in model } ∪ { e }, over the background's
+    signature widened with e's symbols, the language coverage checks use.
+    Callers ask whether e is covered first; a PAPER_TRACE expansion over
+    _SATURATION_CAP is refused.
     """
     if not e.positive or not is_ground_literal(e):
         raise ValueError(f"saturation needs a ground positive example: {render_literal(e)}")
 
     if policy is SaturationPolicy.GROUND_ATOMS:
-        model = least_model_bounded(background, depth_bound)
+        model = examples_model(background, (e,), depth_bound)
         return frozenset((Clause([q.negated() for q in model.atoms] + [e]),))
 
     rules = background.rules
@@ -183,15 +190,48 @@ def reduce_program(p: HornProgram, depth_bound: int) -> HornProgram:
     remaining program's bounded model. Scanning is largest clause first with
     canonical-text tiebreak, so the result is deterministic. One pass is a
     fixpoint: with the signature pinned, both tests are monotone in the
-    remaining set, so a clause kept once stays kept."""
+    remaining set, so a clause kept once stays kept.
+
+    A support filter spares most fact tests their model. At the first fact
+    test the kept clauses K give M(K) and the support set: the heads of one
+    T_P step of K's clauses other than ground facts over M(K). A fact f
+    whose head is outside the support set is kept without a model of
+    rest = K - {f}. That is sound: T_P is monotone and the signature is
+    pinned, so M(rest) ⊆ M(K); a head in M(rest) is the head of an instance
+    of a clause of rest whose body holds in M(rest); and that clause is not
+    a ground fact, whose only head is itself. Later rests only shrink, so
+    the set stays valid. A head inside the set is still decided by the
+    exact test, the bounded model of rest."""
     clauses = set(p.clauses)
-    signature = p.signature()  # removals must not shrink the term language
+    # Removals must not shrink the term language; only a clause with an
+    # unbound head variable grounds over it.
+    signature = None if p.range_restricted else p.signature()
+    support: frozenset[Literal] | None = None
     for c in sorted(clauses, key=lambda c: (-len(c.literals), render_clause(c))):
         rest = clauses - {c}
         if any(theta_subsumes(d, c)[0] for d in rest):
             clauses = rest
         elif c.is_fact and rest:
-            model = least_model_bounded(HornProgram(rest), depth_bound, signature)
-            if c.head in model.atoms:
-                clauses = rest
+            if support is None:
+                support = _support(HornProgram(clauses), depth_bound, signature)
+            if c.head in support:
+                model = least_model_bounded(HornProgram(rest), depth_bound, signature)
+                if c.head in model.atoms:
+                    clauses = rest
     return HornProgram(clauses)
+
+
+def _support(
+    kept: HornProgram, depth_bound: int, signature: frozenset[tuple[str, int]] | None
+) -> frozenset[Literal]:
+    """Heads of one T_P step of kept's clauses other than ground facts over
+    M(kept), on the universe M(kept) grounds with."""
+    atoms = least_model_bounded(kept, depth_bound, signature).atoms
+    universe = _universe_for(kept, depth_bound, signature)
+    empty: frozenset[Literal] = frozenset()
+    return frozenset(
+        h
+        for c in kept
+        if not c.is_fact
+        for h in _ground_clause_instances(c, empty, atoms, atoms, universe)
+    )

@@ -81,9 +81,13 @@ def term_variables(t: Term) -> frozenset[Var]:
 
 
 def is_ground_term(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    return all(is_ground_term(a) for a in t.args)
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            return False
+        stack.extend(t.args)
+    return True
 
 
 def apply_to_term(t: Term, theta: Substitution) -> Term:
@@ -286,6 +290,10 @@ class HornProgram:
 
     def without_clauses(self, gone: Iterable[Clause]) -> "HornProgram":
         return HornProgram(self.clauses - frozenset(gone))
+
+    @property
+    def range_restricted(self) -> bool:
+        return all(c.range_restricted for c in self.clauses)
 
     def signature(self) -> frozenset[tuple[str, int]]:
         """Functor symbols (name, arity) occurring in the program's terms."""

@@ -243,8 +243,12 @@ def covers(
 
 
 def examples_model(p: HornProgram, examples: Iterable[Literal], depth_bound: int) -> BoundedModel:
-    """Bounded least model over p's signature widened with the examples' symbols."""
-    signature = p.signature() | term_signature(a for e in examples for a in e.args)
+    """Bounded least model over p's signature widened with the examples'
+    symbols. Only a clause with an unbound head variable grounds over the
+    signature, so a range-restricted program is not asked for one."""
+    signature = None
+    if not p.range_restricted:
+        signature = p.signature() | term_signature(a for e in examples for a in e.args)
     return least_model_bounded(p, depth_bound, signature)
 
 

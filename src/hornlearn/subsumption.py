@@ -5,13 +5,26 @@ Clause c subsumes d iff some substitution theta over c's variables makes
 c·theta a literal subset of d. The search, `substitutions`, is complete
 backtracking over literal matchings; it also grounds rule bodies for the
 immediate-consequence step in `semantics`.
+
+`theta_subsumes` first rejects a pair on two necessary conditions that are
+plain set inclusions: every (sign, predicate, arity) of c occurs in d, and
+every ground literal of c is literally in d (theta fixes it). Only a pair
+that passes both is sorted and searched, so the witness is unchanged.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection, Iterator, Sequence
 
-from .logic import Clause, Literal, Substitution, Term, Var, literal_variables
+from .logic import (
+    Clause,
+    Literal,
+    Substitution,
+    Term,
+    Var,
+    is_ground_literal,
+    literal_variables,
+)
 from .syntax import literal_order, render_clause
 
 
@@ -75,6 +88,13 @@ def theta_subsumes(c: Clause, d: Clause) -> tuple[bool, Substitution | None]:
     The witness is over c's original variables, so
     apply_to_clause(c, theta).literals ⊆ d.literals holds literally.
     """
+    # The two rejection tests of the module docstring, before any sorting.
+    # The set difference reuses the hashes the frozensets store.
+    d_keys = {(l.positive, l.pred_key) for l in d.literals}
+    if any((l.positive, l.pred_key) not in d_keys for l in c.literals) or any(
+        is_ground_literal(l) for l in c.literals - d.literals
+    ):
+        return False, None
     # Most-constrained literals first (fewest variables) prunes early; the
     # text tiebreak keeps the found witness deterministic.
     c_lits = sorted(c.literals, key=lambda l: (len(literal_variables(l)), literal_order(l)))

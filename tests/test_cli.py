@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,6 +46,17 @@ def test_distance_zero_and_one(capsys):
     assert run(capsys, "distance", "s(0)", "0")[1].strip() == "1"
 
 
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "hornlearn", "distance", "0", "0"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"
+
+
 def test_lgg_subcommand(tmp_path, capsys):
     f = tmp_path / "pair.pl"
     f.write_text("p(s(s(0))) :- p(0).\np(s(s(s(s(0))))) :- p(s(s(0))).\n")
@@ -84,6 +98,16 @@ def test_rlgg_covered_example_is_reported_not_failed(tmp_path, capsys):
     code, out, _ = run(capsys, "rlgg", "--background", str(bg), "--example", "p(0)")
     assert code == 0
     assert "already covered" in out
+
+
+def test_rlgg_ground_policy_grounds_the_background_over_the_example(tmp_path, capsys):
+    bg = tmp_path / "bg.pl"
+    bg.write_text("r(Y).\nq(X) :- r(X).\n")
+    code, out, err = run(
+        capsys, "rlgg", "--background", str(bg), "--example", "p(a)", "--policy", "ground"
+    )
+    assert code == 0 and not err
+    assert out.strip() == "p(a) :- q(a), r(a)."
 
 
 def test_model_case_1(tmp_path, capsys):

@@ -235,6 +235,14 @@ def test_saturate_ground_policy_uses_bounded_model():
     assert c.positives == (atom("q", ZERO),)
 
 
+def test_saturate_ground_policy_widens_the_signature_with_the_example():
+    # r(Y). grounds over the example's constant, as coverage checks do.
+    background = parse_program("r(Y).\nq(X) :- r(X).")
+    e = atom("p", Fn("a"))
+    (c,) = saturate(background, e, SaturationPolicy.GROUND_ATOMS, 3)
+    assert c == Clause([e, neg("q", Fn("a")), neg("r", Fn("a"))])
+
+
 def test_saturate_tautologies_removed():
     # Opposed rules make one expansion choice produce l and ~l together.
     background = parse_program("p(s(0)) :- p(0).\np(0) :- p(s(0)).")

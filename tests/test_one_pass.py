@@ -1,27 +1,50 @@
-"""Differential tests: the one-pass reductions, the backward restart scan and
-the one-read priority sort against the rescanning versions they
-replaced, kept here as oracles only."""
+"""Differential tests: the one-pass reductions, the backward restart scan,
+the one-read priority sort and the rejection tests of theta-subsumption
+against the slow versions they replaced, kept here as oracles only. The
+oracles share neither the rejection tests nor the support filter of
+`reduce_program`."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from hornlearn import Clause, HornProgram, Literal, reduce_program, theta_subsumes
+from hornlearn import (
+    Clause,
+    ExampleStream,
+    HornProgram,
+    Literal,
+    System,
+    apply_to_clause,
+    config_for_stream,
+    generalize,
+    learner,
+    parse_program,
+    reduce_program,
+    run_stream,
+    semantics,
+    theta_subsumes,
+)
+from hornlearn.cases import even_atom
 from hornlearn.learner import _priority_sorted, _restart_stage, _strictly_precedes
+from hornlearn.logic import literal_variables
 from hornlearn.metric import priority_precedes
 from hornlearn.semantics import least_model_bounded
-from hornlearn.subsumption import reduce_clause
+from hornlearn.subsumption import reduce_clause, substitutions
 from hornlearn.syntax import literal_order, render_clause
 
 from conftest import (
     SIG_BINARY,
     SIG_UNARY,
     random_atom,
+    random_clause,
     random_definite_clause,
     random_horn_program,
+    random_literal,
     random_simple_program,
+    random_term,
 )
 
 # (signature, term depth of the random inputs, depth bound of the models).
@@ -29,8 +52,17 @@ from conftest import (
 SIGNATURES = [(SIG_UNARY, 3, 5), (SIG_BINARY, 2, 3)]
 
 
+def oracle_theta_subsumes(c: Clause, d: Clause):
+    """The bare search, with theta_subsumes' literal orders and no rejection."""
+    c_lits = sorted(c.literals, key=lambda l: (len(literal_variables(l)), literal_order(l)))
+    d_lits = sorted(d.literals, key=literal_order)
+    witness = next(substitutions(c_lits, [d_lits] * len(c_lits), {}), None)
+    return witness is not None, witness
+
+
 def oracle_reduce_program(p: HornProgram, depth_bound: int) -> HornProgram:
-    """Fixpoint removal, rescanning from the top after every removal."""
+    """Fixpoint removal, rescanning from the top after every removal, with a
+    model of the remaining program for every fact test."""
     clauses = set(p.clauses)
     signature = p.signature()
     while True:
@@ -38,7 +70,7 @@ def oracle_reduce_program(p: HornProgram, depth_bound: int) -> HornProgram:
         removed = None
         for c in ordered:
             rest = clauses - {c}
-            if any(theta_subsumes(d, c)[0] for d in rest):
+            if any(oracle_theta_subsumes(d, c)[0] for d in rest):
                 removed = c
                 break
             if c.is_fact and rest:
@@ -61,7 +93,7 @@ def oracle_reduce_clause(c: Clause) -> Clause:
             smaller = Clause(current.literals - {lit})
             if not smaller.literals:
                 continue
-            if theta_subsumes(current, smaller)[0]:
+            if oracle_theta_subsumes(current, smaller)[0]:
                 current = smaller
                 changed = True
                 break
@@ -114,25 +146,105 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+# A rule that derives one of its own facts, and a unit clause that is not
+# range-restricted: both reach reduce_program's exact fact test.
+CHAIN = parse_program("p(s(X)) :- p(X).\np(0).\np(s(0)).")
+UNBOUND = parse_program("r(Y).")
+
+
 def random_program(rng: random.Random, sig, max_depth: int) -> HornProgram:
     """A random definite or simple program plus ground facts, so that both
-    removal tests (subsumption and derivability) fire."""
+    removal tests (subsumption and derivability) fire, sometimes with CHAIN
+    or UNBOUND added."""
     make = rng.choice((random_horn_program, random_simple_program))
     program = make(rng, sig, max_depth, max_clauses=4)
     facts = [Clause((random_atom(rng, sig, max_depth),)) for _ in range(rng.randint(0, 3))]
+    for extra in (CHAIN, UNBOUND):
+        if rng.random() < 0.25:
+            facts += extra.clauses
     return program.with_clauses(facts)
 
 
 @pytest.mark.parametrize("sig,max_depth,depth_bound", SIGNATURES)
-def test_reduce_program_one_pass_equals_rescanning_oracle(rng, sig, max_depth, depth_bound):
-    removed = 0
+def test_reduce_program_one_pass_equals_rescanning_oracle(
+    monkeypatch, rng, sig, max_depth, depth_bound
+):
+    # The first model a call builds is M(kept), for the support set; every
+    # later one is the exact test of a fact inside that set.
+    models = []
+
+    def counted(*args):
+        models.append(args)
+        return least_model_bounded(*args)
+
+    monkeypatch.setattr(generalize, "least_model_bounded", counted)
+    removed = fallbacks = 0
     for _ in range(150):
         p = random_program(rng, sig, max_depth)
+        models.clear()
         got = outcome(reduce_program, p, depth_bound)
         assert got == outcome(oracle_reduce_program, p, depth_bound), p
         if isinstance(got, HornProgram):
             removed += len(p) - len(got)
-    assert removed > 0
+            fallbacks += max(0, len(models) - 1)
+    assert removed > 0 and fallbacks > 0, (removed, fallbacks)
+
+
+def test_reduce_program_grounds_only_the_clauses_still_kept():
+    # q(X) removes q(f(Y, Z)) before the fact test. Grounding q(f(Y, Z))
+    # would need 677^2 heads at depth 5, over the cap, so a support set
+    # built from the whole input would raise where the oracle does not.
+    p = parse_program("q(X).\nq(f(Y, Z)).\nr(0).")
+    got = outcome(reduce_program, p, 5)
+    assert got == outcome(oracle_reduce_program, p, 5) == parse_program("q(X).\nr(0).")
+
+
+@pytest.mark.parametrize("sig,max_depth,depth_bound", SIGNATURES)
+def test_theta_subsumes_equals_bare_search_oracle(rng, sig, max_depth, depth_bound):
+    functors = sig[0]
+    pairs = []
+    for _ in range(150):
+        c = random_clause(rng, sig, max_depth, max_literals=4)
+        pairs += [(c, random_clause(rng, sig, max_depth, max_literals=4)), (c, c)]
+        # An instance of c plus one literal: a hit that binds c's variables.
+        theta = {v: random_term(rng, functors, max_depth) for v in c.variables()}
+        extra = random_literal(rng, sig, max_depth, ground=False)
+        pairs.append((c, Clause(apply_to_clause(c, theta).literals | {extra})))
+        # c minus one literal, both ways, as reduce_clause asks.
+        if len(c) > 1:
+            lit = rng.choice(sorted(c.literals, key=literal_order))
+            smaller = Clause(c.literals - {lit})
+            pairs += [(c, smaller), (smaller, c)]
+    hits = 0
+    for c, d in pairs:
+        got = theta_subsumes(c, d)
+        assert got == oracle_theta_subsumes(c, d), (c, d)
+        hits += got[0]
+    assert len(pairs) >= 500 and 100 < hits < len(pairs) - 100, (len(pairs), hits)
+
+
+def test_golem_descending_builds_at_most_one_model_per_reduction(monkeypatch):
+    stream = ExampleStream(even_atom(2 * k) for k in reversed(range(16)))
+    cfg = config_for_stream(stream, System.GOLEM)
+    memo = semantics._least_model
+    misses = []
+
+    def counted(p, depth_bound):
+        before = memo.cache_info().misses
+        out = reduce_program(p, depth_bound)
+        misses.append(memo.cache_info().misses - before)
+        return out
+
+    def trace_bytes() -> bytes:
+        memo.cache_clear()
+        lines = [json.dumps(r.to_json_dict()) for r in run_stream(stream, cfg)]
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    monkeypatch.setattr(learner, "reduce_program", counted)
+    got = trace_bytes()
+    assert len(misses) >= 15 and max(misses) <= 1, misses
+    monkeypatch.setattr(learner, "reduce_program", oracle_reduce_program)
+    assert got == trace_bytes()
 
 
 @pytest.mark.parametrize("sig,max_depth,depth_bound", SIGNATURES)
