@@ -5,32 +5,104 @@ Everything here is immutable and hashable; all operations are pure functions.
 A functor identity is the pair (name, arity): the same name at two arities is
 two distinct symbols. Term depth counts nodes, so constants and variables have
 depth 1.
+
+Terms are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006): `Var` and `Fn` return the existing node for an equal
+term, so `==` is identity. A node stores its hash, depth and groundness,
+computed from its children when it is built, and its subterm and variable
+sets once first asked for. The hash is the structural tuple hash,
+hash((name,)) or hash((functor, args)), the value a frozen dataclass with
+these fields gives, so sets of terms iterate in the order the recorded traces
+were made in and trace bytes do not depend on interning. The intern table
+holds its nodes weakly: a term nothing else refers to leaves it.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
+_interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_intern_lock = threading.Lock()
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Var:
+
+class _Term:
+    """A node is keyed on its constructor arguments, (name,) or (functor,
+    args), and the key's hash is the node's hash."""
+
+    __slots__ = ("_key", "_hash", "__weakref__")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (type(self), self._key)
+
+    @classmethod
+    def _intern(cls, key: tuple) -> "Term":
+        """Build the node for key unless another thread just has."""
+        with _intern_lock:
+            node = _interned.get(key)
+            if node is None:
+                node = object.__new__(cls)
+                node._fill(*key)
+                _set(node, "_key", key)
+                _set(node, "_hash", hash(key))
+                _interned[key] = node
+            return node
+
+
+class Var(_Term):
     """A logic variable. Names start with an uppercase letter in text syntax."""
 
-    name: str
+    __slots__ = ("name",)
+    depth = 1
+    ground = False
+
+    def __new__(cls, name: str) -> "Var":
+        return _interned.get((name,)) or cls._intern((name,))
+
+    def _fill(self, name: str) -> None:
+        _set(self, "name", name)
+
+    def __repr__(self) -> str:
+        return f"Var(name={self.name!r})"
 
 
-@dataclass(frozen=True)
-class Fn:
+class Fn(_Term):
     """A compound term f(t1, ..., tn). Constants are 0-argument compounds."""
 
-    functor: str
-    args: tuple["Term", ...] = ()
+    __slots__ = ("functor", "args", "depth", "ground", "_subterms", "_variables")
+
+    def __new__(cls, functor: str, args: tuple["Term", ...] = ()) -> "Fn":
+        key = (functor, args)
+        return _interned.get(key) or cls._intern(key)
+
+    def _fill(self, functor: str, args: tuple["Term", ...]) -> None:
+        depth, ground = 0, True
+        for a in args:
+            depth = max(depth, a.depth)
+            ground = ground and a.ground
+        _set(self, "functor", functor)
+        _set(self, "args", args)
+        _set(self, "depth", depth + 1)
+        _set(self, "ground", ground)
 
     @property
     def arity(self) -> int:
         return len(self.args)
+
+    def __repr__(self) -> str:
+        return f"Fn(functor={self.functor!r}, args={self.args!r})"
 
 
 Term = Var | Fn
@@ -43,58 +115,49 @@ def const(name: str) -> Fn:
 
 
 def depth(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    if not t.args:
-        return 1
-    return 1 + max(depth(a) for a in t.args)
+    return t.depth
 
 
 def subterms(t: Term) -> frozenset[Term]:
-    """t together with, recursively, every argument subterm."""
-    out: set[Term] = {t}
-    if isinstance(t, Fn):
-        for a in t.args:
-            out |= subterms(a)
-    return frozenset(out)
+    """t together with, recursively, every argument subterm. The set stored
+    on t holds t itself, so once asked for, t is freed by the cycle collector
+    rather than on its last reference."""
+    if isinstance(t, Var):
+        return frozenset((t,))
+    if not hasattr(t, "_subterms"):
+        out, stack = {t}, [t]
+        while stack:
+            new = [a for a in stack.pop().args if a not in out]
+            out.update(new)
+            stack += [a for a in new if isinstance(a, Fn)]
+        _set(t, "_subterms", frozenset(out))
+    return t._subterms
 
 
 def term_signature(terms: Iterable[Term]) -> frozenset[tuple[str, int]]:
     """Functor symbols (name, arity) occurring anywhere in the terms."""
-    out: set[tuple[str, int]] = set()
-    stack = list(terms)
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Fn):
-            out.add((t.functor, t.arity))
-            stack.extend(t.args)
-    return frozenset(out)
+    return frozenset((u.functor, u.arity) for t in terms for u in subterms(t) if isinstance(u, Fn))
 
 
 def term_variables(t: Term) -> frozenset[Var]:
     if isinstance(t, Var):
         return frozenset((t,))
-    out: set[Var] = set()
-    for a in t.args:
-        out |= term_variables(a)
-    return frozenset(out)
+    if t.ground:
+        return frozenset()
+    if not hasattr(t, "_variables"):
+        _set(t, "_variables", frozenset(u for u in subterms(t) if isinstance(u, Var)))
+    return t._variables
 
 
 def is_ground_term(t: Term) -> bool:
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            return False
-        stack.extend(t.args)
-    return True
+    return t.ground
 
 
 def apply_to_term(t: Term, theta: Substitution) -> Term:
     """Simultaneous substitution: bound variables are replaced exactly once."""
     if isinstance(t, Var):
         return theta.get(t, t)
-    if not t.args:
+    if t.ground:
         return t
     return Fn(t.functor, tuple(apply_to_term(a, theta) for a in t.args))
 
@@ -132,11 +195,11 @@ def neg(predicate: str, *args: Term) -> Literal:
 
 
 def literal_subterms(lit: Literal) -> frozenset[Term]:
-    """Union of the subterm sets of the literal's arguments."""
-    out: set[Term] = set()
-    for a in lit.args:
-        out |= subterms(a)
-    return frozenset(out)
+    """Union of the subterm sets of the literal's arguments; for one argument,
+    its stored set itself."""
+    if len(lit.args) == 1:
+        return subterms(lit.args[0])
+    return frozenset().union(*map(subterms, lit.args))
 
 
 def literal_variables(lit: Literal) -> frozenset[Var]:
@@ -147,11 +210,11 @@ def literal_variables(lit: Literal) -> frozenset[Var]:
 
 
 def literal_depth(lit: Literal) -> int:
-    return max((depth(a) for a in lit.args), default=1)
+    return max((a.depth for a in lit.args), default=1)
 
 
 def is_ground_literal(lit: Literal) -> bool:
-    return all(is_ground_term(a) for a in lit.args)
+    return all(a.ground for a in lit.args)
 
 
 def apply_to_literal(lit: Literal, theta: Substitution) -> Literal:

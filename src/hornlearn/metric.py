@@ -6,7 +6,8 @@ The term distance takes values in {0} ∪ {1/m}: 0 for equal terms, 1 when the
 root symbols differ, and d/(d+1) for equal roots where d is the maximum
 argument distance. Two terms are at distance at most 1/(m+1) exactly when
 their trees agree to depth m. Values are exact rationals, never floats, so
-the codomain is assertable exactly.
+the codomain is assertable exactly; the recursion runs on the integer m of
+1/m, and each distance builds one Fraction.
 
 Variables are treated as 0-arity symbols distinct from every functor and from
 each other, the minimal total extension of the functor-rooted definition.
@@ -25,15 +26,19 @@ ONE = Fraction(1)
 
 
 def term_distance(t: Term, s: Term) -> Distance:
-    if t == s:
-        return ZERO
+    return ZERO if t == s else Fraction(1, _agreement(t, s))
+
+
+def _agreement(t: Term, s: Term) -> int:
+    """The m with term_distance(t, s) = 1/m, for unequal terms: 1 when the
+    roots differ, otherwise 1 plus the least agreement of an unequal
+    argument pair (the largest argument distance)."""
     if isinstance(t, Var) or isinstance(s, Var):
         # Distinct symbols (a variable never shares a root with anything else).
-        return ONE
+        return 1
     if t.functor != s.functor or len(t.args) != len(s.args):
-        return ONE
-    delta = max(term_distance(a, b) for a, b in zip(t.args, s.args))
-    return delta / (delta + 1)
+        return 1
+    return 1 + min(_agreement(a, b) for a, b in zip(t.args, s.args) if a != b)
 
 
 def literal_distance(l: Literal, m: Literal) -> Distance:
@@ -43,8 +48,7 @@ def literal_distance(l: Literal, m: Literal) -> Distance:
         return ONE
     if l.args == m.args:
         return ZERO
-    delta = max(term_distance(a, b) for a, b in zip(l.args, m.args))
-    return delta / (delta + 1)
+    return Fraction(1, 1 + min(_agreement(a, b) for a, b in zip(l.args, m.args) if a != b))
 
 
 def clause_distance(c: Clause, d: Clause) -> Distance:

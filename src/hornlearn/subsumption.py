@@ -29,14 +29,18 @@ from .syntax import literal_order, render_clause
 
 
 def match_terms(pattern: Term, target: Term, theta: dict[Var, Term]) -> dict[Var, Term] | None:
-    """One-way matching: only pattern-side variables bind."""
+    """One-way matching: only pattern-side variables bind. A ground pattern
+    matches only itself, and terms are interned, so that is one identity
+    test."""
     if isinstance(pattern, Var):
         bound = theta.get(pattern)
         if bound is None:
             out = dict(theta)
             out[pattern] = target
             return out
-        return theta if bound == target else None
+        return theta if bound is target else None
+    if pattern.ground:
+        return theta if pattern is target else None
     if isinstance(target, Var):
         return None
     if pattern.functor != target.functor or len(pattern.args) != len(target.args):

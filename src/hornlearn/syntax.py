@@ -293,7 +293,8 @@ def _local_var_pattern(lit: Literal) -> tuple[int, ...]:
 
 
 def render_clause(c: Clause) -> str:
-    """Canonical, renaming-invariant rendering.
+    """Canonical, renaming-invariant rendering, computed once per clause
+    object and stored on it (a clause is immutable).
 
     Literals are grouped by skeleton, which carries the sign, so group order
     puts positives first. Same-skeleton literals differ only in variable
@@ -302,6 +303,13 @@ def render_clause(c: Clause) -> str:
     global: a partial-prefix tie between two orderings can still bind
     variables differently and diverge in a later group.
     """
+    stored = vars(c)
+    if "canonical_text" not in stored:
+        stored["canonical_text"] = _canonical_text(c)
+    return stored["canonical_text"]
+
+
+def _canonical_text(c: Clause) -> str:
     keyed = sorted(((_skeleton(l), l) for l in c.literals), key=itemgetter(0))
     groups = [[l for _, l in group] for _, group in groupby(keyed, key=itemgetter(0))]
     if prod(factorial(len(g)) for g in groups) > _PERMUTE_BUDGET:

@@ -1,3 +1,7 @@
+import copy
+import gc
+import pickle
+
 import pytest
 
 from hornlearn import (
@@ -11,10 +15,11 @@ from hornlearn import (
     depth,
     fact,
     neg,
+    parse_program,
     subterms,
 )
 from hornlearn.cases import even_atom, numeral
-from hornlearn.logic import literal_subterms
+from hornlearn.logic import _interned, is_ground_term, literal_subterms, term_variables
 
 
 def s(t):
@@ -106,3 +111,51 @@ def test_numeral_builder():
 def test_fact_requires_ground_for_is_fact():
     assert fact(even_atom(0)).is_fact
     assert not Clause((atom("p", Var("X")),)).is_fact
+
+
+def test_deep_terms_need_no_recursion():
+    # Built bottom-up 10,000 levels deep, twice; nothing below walks the term
+    # recursively (the parser and renderer still do).
+    def chain(base):
+        t = base
+        for _ in range(10_000):
+            t = s(t)
+        return t
+
+    t, u = chain(ZERO), chain(ZERO)
+    assert t is u and t == u and hash(t) == hash(u)
+    assert t != chain(s(ZERO))
+    assert depth(t) == 10_001 and is_ground_term(t)
+    assert len(subterms(t)) == 10_001 and ZERO in subterms(t)
+    x = chain(Var("X"))
+    assert depth(x) == 10_001 and not is_ground_term(x)
+    assert term_variables(x) == {Var("X")}
+
+
+def test_pickle_and_deepcopy_round_trip_to_the_interned_nodes():
+    program = parse_program("p(0).\np(s(s(X))) :- p(X), q(f(X, 0)).")
+    rule = next(c for c in program if not c.is_unit)
+    lit = rule.head
+    term = lit.args[0]
+    for x in (term, lit, rule, program):
+        for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert copied == x
+            assert hash(copied) == hash(x)
+    assert pickle.loads(pickle.dumps(term)) is term
+    assert copy.deepcopy(term) is term and copy.copy(term) is term
+    assert pickle.loads(pickle.dumps(Var("X"))) is Var("X")
+    loaded = pickle.loads(pickle.dumps(program))
+    for c in loaded:
+        original = next(d for d in program if d == c)
+        for l in c:
+            m = next(m for m in original if m == l)
+            assert all(a is b for a, b in zip(l.args, m.args))
+
+
+def test_unpickling_an_unreferenced_term_interns_it_again():
+    data = pickle.dumps(Fn("pickled", (Fn("only_here"),)))
+    gc.collect()
+    assert ("only_here", ()) not in _interned
+    t = pickle.loads(data)
+    assert t is Fn("pickled", (Fn("only_here"),))
+    assert depth(t) == 2 and is_ground_term(t)

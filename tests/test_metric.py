@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hornlearn import (
     Clause,
     Fn,
+    Literal,
     Var,
     atom,
     clause_distance,
@@ -21,7 +22,7 @@ from hornlearn import (
 )
 from hornlearn.cases import numeral
 
-from conftest import SIG_UNARY, random_literal, random_simple_clause
+from conftest import SIG_BINARY, SIG_UNARY, random_literal, random_simple_clause, random_term
 
 ZERO = Fn("0")
 
@@ -50,6 +51,57 @@ def test_distance_recursion_values():
     assert term_distance(numeral(2), numeral(3)) == Fraction(1, 3)
     assert term_distance(numeral(2), numeral(4)) == Fraction(1, 3)
     assert term_distance(numeral(4), numeral(2)) == Fraction(1, 3)
+
+
+def oracle_term_distance(t, s) -> Fraction:
+    """The Fraction recursion the integer agreement replaced."""
+    if t == s:
+        return Fraction(0)
+    if isinstance(t, Var) or isinstance(s, Var):
+        return Fraction(1)
+    if t.functor != s.functor or len(t.args) != len(s.args):
+        return Fraction(1)
+    delta = max(oracle_term_distance(a, b) for a, b in zip(t.args, s.args))
+    return delta / (delta + 1)
+
+
+def oracle_literal_distance(l, m) -> Fraction:
+    if l.positive != m.positive or l.pred_key != m.pred_key:
+        return Fraction(1)
+    if l.args == m.args:
+        return Fraction(0)
+    delta = max(oracle_term_distance(a, b) for a, b in zip(l.args, m.args))
+    return delta / (delta + 1)
+
+
+def perturbed(rng, t, functors, ground):
+    """t with one subterm redrawn at a random position, so that the two
+    agree down to it."""
+    if not isinstance(t, Fn) or not t.args or rng.random() < 0.3:
+        return random_term(rng, functors, 3, ground)
+    args = list(t.args)
+    i = rng.randrange(len(args))
+    args[i] = perturbed(rng, args[i], functors, ground)
+    return Fn(t.functor, tuple(args))
+
+
+@pytest.mark.parametrize("sig,max_depth", [(SIG_UNARY, 6), (SIG_BINARY, 4)])
+def test_distance_equals_the_fraction_recursion(sig, max_depth):
+    rng = random.Random(20261018)
+    functors = sig[0]
+    values = set()
+    for _ in range(600):
+        ground = rng.random() < 0.5
+        t = random_term(rng, functors, max_depth, ground)
+        s_ = perturbed(rng, t, functors, ground) if rng.random() < 0.7 else random_term(rng, functors, max_depth, ground)
+        assert term_distance(t, s_) == oracle_term_distance(t, s_)
+        l = random_literal(rng, sig, max_depth, ground)
+        m = random_literal(rng, sig, max_depth, ground)
+        if rng.random() < 0.7:
+            m = Literal(l.positive, l.predicate, tuple(perturbed(rng, a, functors, ground) for a in l.args))
+        assert literal_distance(l, m) == oracle_literal_distance(l, m)
+        values |= {term_distance(t, s_), literal_distance(l, m)}
+    assert len(values - {0, 1}) >= 3
 
 
 def test_distance_formatting():

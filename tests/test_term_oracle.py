@@ -1,0 +1,208 @@
+"""Differential tests: the hash-consed term core against the frozen
+dataclasses and recursive walks it replaced (structural hash and equality,
+depth, groundness, subterm and variable sets, substitution, matching), kept
+here as oracles only."""
+
+from __future__ import annotations
+
+import gc
+import random
+from dataclasses import dataclass
+
+import pytest
+
+from hornlearn import Fn, Var
+from hornlearn.logic import (
+    _interned,
+    apply_to_term,
+    depth,
+    is_ground_term,
+    subterms,
+    term_variables,
+)
+from hornlearn.subsumption import match_terms
+
+from conftest import SIG_BINARY, SIG_UNARY, VAR_POOL, random_term
+
+SIGNATURES = [(SIG_UNARY, 6), (SIG_BINARY, 4)]
+
+
+@dataclass(frozen=True)
+class OracleVar:
+    name: str
+
+
+@dataclass(frozen=True)
+class OracleFn:
+    functor: str
+    args: tuple = ()
+
+
+def to_oracle(t):
+    if isinstance(t, Var):
+        return OracleVar(t.name)
+    return OracleFn(t.functor, tuple(to_oracle(a) for a in t.args))
+
+
+def from_oracle(t):
+    """Builds the term again, node by node, through the constructors."""
+    if isinstance(t, OracleVar):
+        return Var(t.name)
+    return Fn(t.functor, tuple(from_oracle(a) for a in t.args))
+
+
+def oracle_depth(t) -> int:
+    if isinstance(t, OracleVar) or not t.args:
+        return 1
+    return 1 + max(oracle_depth(a) for a in t.args)
+
+
+def oracle_subterms(t) -> frozenset:
+    out = {t}
+    if isinstance(t, OracleFn):
+        for a in t.args:
+            out |= oracle_subterms(a)
+    return frozenset(out)
+
+
+def oracle_variables(t) -> frozenset:
+    if isinstance(t, OracleVar):
+        return frozenset((t,))
+    out: set = set()
+    for a in t.args:
+        out |= oracle_variables(a)
+    return frozenset(out)
+
+
+def oracle_is_ground(t) -> bool:
+    return not oracle_variables(t)
+
+
+def oracle_apply(t, theta):
+    if isinstance(t, OracleVar):
+        return theta.get(t, t)
+    if not t.args:
+        return t
+    return OracleFn(t.functor, tuple(oracle_apply(a, theta) for a in t.args))
+
+
+def oracle_match_terms(pattern, target, theta):
+    """The structural matcher, without the identity test for ground
+    patterns."""
+    if isinstance(pattern, Var):
+        bound = theta.get(pattern)
+        if bound is None:
+            out = dict(theta)
+            out[pattern] = target
+            return out
+        return theta if bound == target else None
+    if isinstance(target, Var):
+        return None
+    if pattern.functor != target.functor or len(pattern.args) != len(target.args):
+        return None
+    for pa, ta in zip(pattern.args, target.args):
+        next_theta = oracle_match_terms(pa, ta, theta)
+        if next_theta is None:
+            return None
+        theta = next_theta
+    return theta
+
+
+def random_terms(rng: random.Random, functors, max_depth: int, n: int) -> list:
+    return [random_term(rng, functors, rng.randint(1, max_depth), ground=rng.random() < 0.5) for _ in range(n)]
+
+
+def random_theta(rng: random.Random, functors, max_depth: int) -> dict:
+    return {
+        v: random_term(rng, functors, max_depth, ground=rng.random() < 0.5)
+        for v in VAR_POOL
+        if rng.random() < 0.7
+    }
+
+
+@pytest.mark.parametrize("sig,max_depth", SIGNATURES)
+def test_term_attributes_equal_the_recursive_oracle(sig, max_depth):
+    rng = random.Random(20261018)
+    functors = sig[0]
+    terms = random_terms(rng, functors, max_depth, 400)
+    grounds = 0
+    for t in terms:
+        o = to_oracle(t)
+        assert hash(t) == hash(o)
+        assert repr(t) == repr(o).replace("OracleFn", "Fn").replace("OracleVar", "Var")
+        assert depth(t) == oracle_depth(o)
+        assert is_ground_term(t) == oracle_is_ground(o)
+        assert {to_oracle(u) for u in subterms(t)} == oracle_subterms(o)
+        assert {to_oracle(v) for v in term_variables(t)} == oracle_variables(o)
+        if isinstance(t, Fn):
+            # Asked again: the set stored on the node.
+            assert subterms(t) is subterms(t)
+        grounds += is_ground_term(t)
+    assert 0 < grounds < len(terms)
+
+
+@pytest.mark.parametrize("sig,max_depth", SIGNATURES)
+def test_equality_is_identity_and_agrees_with_structure(sig, max_depth):
+    rng = random.Random(7)
+    terms = random_terms(rng, sig[0], max_depth, 200)
+    # Duplicates drawn from the pool, so equal pairs occur often.
+    pairs = [(rng.choice(terms), rng.choice(terms)) for _ in range(2000)]
+    equal = 0
+    for t, u in pairs:
+        assert (t == u) == (to_oracle(t) == to_oracle(u)) == (t is u)
+        equal += t == u
+    assert 0 < equal < len(pairs)
+    for t in terms:
+        # Rebuilt node by node from its structure: the interned node itself.
+        assert from_oracle(to_oracle(t)) is t
+        with pytest.raises(AttributeError):
+            t.depth = 0
+
+
+@pytest.mark.parametrize("sig,max_depth", SIGNATURES)
+def test_substitution_equals_the_recursive_oracle(sig, max_depth):
+    rng = random.Random(11)
+    functors = sig[0]
+    changed = 0
+    for t in random_terms(rng, functors, max_depth, 400):
+        theta = random_theta(rng, functors, 3)
+        got = apply_to_term(t, theta)
+        want = oracle_apply(to_oracle(t), {to_oracle(v): to_oracle(s) for v, s in theta.items()})
+        assert to_oracle(got) == want
+        if is_ground_term(t):
+            assert got is t
+        changed += got is not t
+    assert changed > 0
+
+
+@pytest.mark.parametrize("sig,max_depth", SIGNATURES)
+def test_match_terms_equals_the_structural_oracle(sig, max_depth):
+    rng = random.Random(13)
+    functors = sig[0]
+    outcomes = {"hit": 0, "miss": 0, "ground hit": 0}
+    for _ in range(600):
+        pattern = random_term(rng, functors, rng.randint(1, max_depth), ground=rng.random() < 0.3)
+        if rng.random() < 0.5:
+            target = apply_to_term(pattern, random_theta(rng, functors, 3))
+        else:
+            target = random_term(rng, functors, max_depth, ground=rng.random() < 0.7)
+        theta = random_theta(rng, functors, 2) if rng.random() < 0.3 else {}
+        got = match_terms(pattern, target, theta)
+        assert got == oracle_match_terms(pattern, target, theta)
+        if got is None:
+            outcomes["miss"] += 1
+        else:
+            outcomes["ground hit" if is_ground_term(pattern) else "hit"] += 1
+    assert all(outcomes.values()), outcomes
+
+
+def test_intern_table_drops_unreferenced_terms():
+    leaf = Fn("probe_leaf")
+    t = Fn("probe", (leaf, Var("ProbeVar")))
+    subterms(t)  # the stored set refers back to t: a reference cycle
+    assert _interned[("probe", (leaf, Var("ProbeVar")))] is t
+    del t, leaf
+    gc.collect()
+    assert ("probe_leaf", ()) not in _interned
+    assert ("ProbeVar",) not in _interned
+    assert not any(key[0] == "probe" for key in list(_interned.keys()))
