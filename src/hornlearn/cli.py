@@ -17,7 +17,14 @@ from pathlib import Path
 
 from .cases import even_ascending_stream, even_reordered_stream
 from .generalize import SaturationPolicy, lgg_clauses, saturate
-from .learner import StageBudgetExceeded, StageRecord, System, config_for_stream, run_stream
+from .learner import (
+    DEFAULT_MAX_STAGES,
+    StageBudgetExceeded,
+    StageRecord,
+    System,
+    config_for_stream,
+    run_stream,
+)
 from .limits import Verdict, convergence_report, default_window
 from .logic import ExampleStream, HornProgram, literal_depth
 from .metric import priority_precedes, term_distance
@@ -190,9 +197,6 @@ def _load_trace(path: str) -> list[StageRecord]:
 # Reproduce: built-in cases checked against committed golden fixtures
 
 
-REPRODUCE_CASES = ("example-3.1", "example-3.2", "case-1", "case-2", "pgolem-fix")
-
-
 def _golden_text(name: str) -> str:
     return resources.files("hornlearn").joinpath("golden", name).read_text(encoding="utf-8")
 
@@ -339,17 +343,19 @@ def _reproduce_pgolem_fix(outdir: Path) -> int:
     return EXIT_OK
 
 
+REPRODUCE_CASES = {
+    "example-3.1": _reproduce_example_31,
+    "example-3.2": _reproduce_example_32,
+    "case-1": _reproduce_case_1,
+    "case-2": _reproduce_case_2,
+    "pgolem-fix": _reproduce_pgolem_fix,
+}
+
+
 def cmd_reproduce(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    runner = {
-        "example-3.1": _reproduce_example_31,
-        "example-3.2": _reproduce_example_32,
-        "case-1": _reproduce_case_1,
-        "case-2": _reproduce_case_2,
-        "pgolem-fix": _reproduce_pgolem_fix,
-    }[args.case]
-    return runner(outdir)
+    return REPRODUCE_CASES[args.case](outdir)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", choices=("golem", "pgolem"), required=True)
     p.add_argument("--examples", required=True, help="stream file, one ground atom per line")
     p.add_argument("--background", help="initial program file")
-    p.add_argument("--stages", type=int, default=200)
+    p.add_argument("--stages", type=int, default=DEFAULT_MAX_STAGES)
     p.add_argument("--depth", type=int, default=None, help="depth bound (default: auto)")
     p.add_argument("--policy", choices=("paper", "ground"), default="paper")
     p.add_argument("--trace", help="write the per-stage trace as JSON lines")
@@ -409,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("reproduce", help="run a built-in case against its golden fixture")
-    p.add_argument("case", choices=REPRODUCE_CASES)
+    p.add_argument("case", choices=tuple(REPRODUCE_CASES))
     p.add_argument("--outdir", default="out", help="directory for trace and report files")
     p.set_defaults(func=cmd_reproduce)
 

@@ -100,8 +100,9 @@ def lgg_clauses(c: Clause, d: Clause, table: PairTable | None = None) -> Clause:
         table = PairTable()
     table.reserve({v.name for v in c.variables() | d.variables()})
     out = []
+    d_sorted = sorted(d.literals, key=literal_order)
     for l in sorted(c.literals, key=literal_order):
-        for m in sorted(d.literals, key=literal_order):
+        for m in d_sorted:
             g = lgg_literals(l, m, table)
             if g is not None:
                 out.append(g)

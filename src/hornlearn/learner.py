@@ -30,7 +30,6 @@ reduction or make bounded evaluation enumerate the universe.
 
 from __future__ import annotations
 
-import logging
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -53,15 +52,9 @@ from .logic import (
 )
 from .metric import is_simple_program, priority_precedes
 from .semantics import default_depth_bound, is_covered
-from .syntax import (
-    parse_atom,
-    parse_program,
-    render_clause,
-    render_literal,
-    render_program,
-)
+from .syntax import parse_atom, parse_program, render_literal, render_program
 
-logger = logging.getLogger(__name__)
+DEFAULT_MAX_STAGES = 200
 
 
 class System(Enum):
@@ -74,7 +67,7 @@ class LearnerConfig:
     system: System = System.GOLEM
     policy: SaturationPolicy = SaturationPolicy.PAPER_TRACE
     depth_bound: int = 16
-    max_stages: int = 200
+    max_stages: int = DEFAULT_MAX_STAGES
 
 
 class Action(Enum):
@@ -155,16 +148,7 @@ class StageBudgetExceeded(Exception):
 
 
 def _keep_learned(clauses: frozenset[Clause]) -> set[Clause]:
-    kept = set()
-    for c in clauses:
-        if not c.is_definite:
-            logger.debug("dropping non-definite generalization: %s", render_clause(c))
-            continue
-        if not c.range_restricted:
-            logger.debug("dropping non-range-restricted generalization: %s", render_clause(c))
-            continue
-        kept.add(c)
-    return kept
+    return {c for c in clauses if c.is_definite and c.range_restricted}
 
 
 def _extend(
@@ -208,14 +192,7 @@ def _enforce_simplicity(c: Clause) -> Clause:
         return c
     head_terms = literal_subterms(c.head)
     dropped = [l for l in c.negatives if not literal_subterms(l) <= head_terms]
-    if dropped:
-        logger.debug(
-            "simplicity filter dropped %s from %s",
-            [render_literal(l) for l in dropped],
-            render_clause(c),
-        )
-        return Clause(c.literals - set(dropped))
-    return c
+    return Clause(c.literals - set(dropped)) if dropped else c
 
 
 def golem_step(
@@ -354,7 +331,7 @@ def config_for_stream(
     system: System,
     policy: SaturationPolicy = SaturationPolicy.PAPER_TRACE,
     depth_bound: int | None = None,
-    max_stages: int = 200,
+    max_stages: int = DEFAULT_MAX_STAGES,
     background: Iterable[Clause] = (),
 ) -> LearnerConfig:
     """The default depth bound counts the background that run_stream will

@@ -15,14 +15,17 @@ Rendering is deterministic and canonical: clauses are sorted by (head
 predicate, arity, max term depth, rendered text) and variables are renamed
 X0, X1, ... in first-occurrence order. Canonical renderings of clauses are
 renaming-invariant, so string equality of canonical forms is clause variant
-equality.
+equality. All rendering is one term walk that names variables as it goes:
+by their own names, as "*" in the skeleton sort key, or X0, X1, ... in the
+order the canonical renderer meets them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import groupby, permutations, product
 from math import factorial, prod
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .logic import (
     Clause,
@@ -32,7 +35,6 @@ from .logic import (
     Literal,
     Term,
     Var,
-    apply_to_literal,
     is_ground_literal,
 )
 
@@ -210,18 +212,30 @@ def parse_example_stream(text: str) -> ExampleStream:
 # Rendering
 
 
-def render_term(t: Term) -> str:
+def _term_text(t: Term, name: Callable[[Var], str]) -> str:
+    """The one rendering walk; `name` gives each variable occurrence's text."""
     if isinstance(t, Var):
-        return t.name
+        return name(t)
     if not t.args:
         return t.functor
-    return f"{t.functor}({', '.join(render_term(a) for a in t.args)})"
+    return f"{t.functor}({', '.join(_term_text(a, name) for a in t.args)})"
+
+
+def _atom_text(lit: Literal, name: Callable[[Var], str]) -> str:
+    if not lit.args:
+        return lit.predicate
+    return f"{lit.predicate}({', '.join(_term_text(a, name) for a in lit.args)})"
+
+
+_own_name = attrgetter("name")
+
+
+def render_term(t: Term) -> str:
+    return _term_text(t, _own_name)
 
 
 def render_literal(lit: Literal) -> str:
-    if not lit.args:
-        return lit.predicate
-    return f"{lit.predicate}({', '.join(render_term(a) for a in lit.args)})"
+    return _atom_text(lit, _own_name)
 
 
 def literal_order(lit: Literal) -> tuple[bool, str]:
@@ -229,16 +243,14 @@ def literal_order(lit: Literal) -> tuple[bool, str]:
     return (not lit.positive, render_literal(lit))
 
 
-def _render_in_order(literals: list[Literal]) -> str:
+def _render_in_order(literals: list[Literal], name: Callable[[Var], str]) -> str:
     """Render with literals in the given order: positives first as the head
     part, negatives as the body. Non-definite clauses get a display-only
     form ('h1 ; h2 :- b') that the grammar deliberately rejects."""
-    pos = [l for l in literals if l.positive]
-    body = [l for l in literals if not l.positive]
-    head_txt = " ; ".join(render_literal(l) for l in pos) if pos else ""
-    if not body:
+    head_txt = " ; ".join(_atom_text(l, name) for l in literals if l.positive)
+    body_txt = ", ".join(_atom_text(l, name) for l in literals if not l.positive)
+    if not body_txt:
         return f"{head_txt}."
-    body_txt = ", ".join(render_literal(l.atom()) for l in body)
     if not head_txt:
         return f":- {body_txt}."
     return f"{head_txt} :- {body_txt}."
@@ -246,50 +258,30 @@ def _render_in_order(literals: list[Literal]) -> str:
 
 def _skeleton(lit: Literal) -> str:
     """Rendering with variable names erased; renaming-invariant sort key."""
-
-    def erase(t: Term) -> str:
-        if isinstance(t, Var):
-            return "*"
-        if not t.args:
-            return t.functor
-        return f"{t.functor}({','.join(erase(a) for a in t.args)})"
-
     sign = "+" if lit.positive else "-"
-    return f"{sign}{lit.predicate}/{len(lit.args)}({','.join(erase(a) for a in lit.args)})"
+    args = ", ".join(_term_text(a, lambda v: "*") for a in lit.args)
+    return f"{sign}{lit.predicate}/{len(lit.args)}({args})"
 
 
-def _variable_occurrences(literals: list[Literal]) -> list[Var]:
-    """Every variable occurrence, left to right; its first occurrences give
-    the canonical renaming order."""
-    out: list[Var] = []
+def _renamed(literals: list[Literal]) -> tuple[tuple[int, ...], str]:
+    """(occurrence pattern, rendering) with variables named X0, X1, ... as
+    the walk meets them. Literals arrive positives first, so walk order is
+    first-occurrence order. The pattern lists the index of every variable
+    occurrence; for one literal it is renaming-invariant (q(X, Y) and
+    q(Y, X) both give (0, 1))."""
+    index: dict[Var, int] = {}
+    pattern: list[int] = []
 
-    def walk(t: Term) -> None:
-        if isinstance(t, Var):
-            out.append(t)
-            return
-        for a in t.args:
-            walk(a)
+    def name(v: Var) -> str:
+        i = index.setdefault(v, len(index))
+        pattern.append(i)
+        return f"X{i}"
 
-    for lit in literals:
-        for a in lit.args:
-            walk(a)
-    return out
-
-
-def _rendered_with_renaming(literals: list[Literal]) -> str:
-    first = dict.fromkeys(_variable_occurrences(literals))
-    theta: dict[Var, Term] = {v: Var(f"X{i}") for i, v in enumerate(first)}
-    return _render_in_order([apply_to_literal(l, theta) for l in literals])
+    text = _render_in_order(literals, name)
+    return tuple(pattern), text
 
 
 _PERMUTE_BUDGET = 40320  # orderings tried before the (unreachable) fallback
-
-
-def _local_var_pattern(lit: Literal) -> tuple[int, ...]:
-    """Variable occurrences as first-occurrence indices local to the literal;
-    renaming-invariant (q(X, Y) and q(Y, X) both give (0, 1))."""
-    seen: dict[Var, int] = {}
-    return tuple(seen.setdefault(v, len(seen)) for v in _variable_occurrences([lit]))
 
 
 def render_clause(c: Clause) -> str:
@@ -315,14 +307,10 @@ def _canonical_text(c: Clause) -> str:
     if prod(factorial(len(g)) for g in groups) > _PERMUTE_BUDGET:
         # Clauses with this many renaming-twin literals are outside the
         # artifact's domain; settle for a deterministic structural order.
-        flat = [
-            lit
-            for group in groups
-            for lit in sorted(group, key=lambda l: (_local_var_pattern(l), _rendered_with_renaming([l])))
-        ]
-        return _rendered_with_renaming(flat)
+        flat = [lit for group in groups for lit in sorted(group, key=lambda l: _renamed([l]))]
+        return _renamed(flat)[1]
     return min(
-        _rendered_with_renaming([lit for group in choice for lit in group])
+        _renamed([lit for group in choice for lit in group])[1]
         for choice in product(*(permutations(g) for g in groups))
     )
 

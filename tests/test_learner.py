@@ -16,7 +16,8 @@ from hornlearn import (
     run_stream,
 )
 from hornlearn.cases import even_ascending_stream, even_atom, even_reordered_stream
-from hornlearn.learner import golem_step, pgolem_step
+import hornlearn.syntax as syntax
+from hornlearn.learner import _enforce_simplicity, _keep_learned, golem_step, pgolem_step
 from hornlearn.semantics import covers
 from hornlearn.subsumption import program_variant_equal
 
@@ -268,3 +269,14 @@ def test_pgolem_eventually_constant_once_closure_enumerated(rng):
         tail = [render_program(r.program) for r in records[-3:]]
         assert len(set(tail)) == 1
         assert records[-1].action is Action.COVERED
+
+
+def test_learned_clause_filters_render_no_canonical_text(monkeypatch):
+    # Neither filter prints anything, so neither computes canonical text.
+    computed = []
+    original = syntax._canonical_text
+    monkeypatch.setattr(syntax, "_canonical_text", lambda c: computed.append(c) or original(c))
+    unrestricted, non_simple = syntax.parse_clauses("p(X, Y) :- q(X).\np(s(X)) :- p(X), q(Y).")
+    assert _keep_learned(frozenset([unrestricted])) == set()
+    assert _enforce_simplicity(non_simple).literals == syntax.parse_clauses("p(s(X)) :- p(X).")[0].literals
+    assert computed == []

@@ -1,7 +1,9 @@
 """Differential tests: canonical clause and program rendering against the
 permutation search they replaced (each skeleton computed per comparison,
 positives and negatives sorted apart, every clause rendered twice by the
-program renderer), kept here as oracles only."""
+program renderer), kept here as oracles only. The oracle carries its own
+term renderer, skeleton and renaming (a substituted copy of each literal),
+so it shares no rendering code with the module under test."""
 
 from __future__ import annotations
 
@@ -13,9 +15,47 @@ import pytest
 
 from hornlearn import Clause, Fn, HornProgram, Literal, Var, atom, neg, render_clause, render_program
 from hornlearn.logic import apply_to_literal
-from hornlearn.syntax import _PERMUTE_BUDGET, _render_in_order, _skeleton
+from hornlearn.syntax import _PERMUTE_BUDGET
 
 from conftest import SIG_BINARY, SIG_UNARY, VAR_POOL, random_clause, random_horn_program
+
+
+def oracle_render_term(t) -> str:
+    if isinstance(t, Var):
+        return t.name
+    if not t.args:
+        return t.functor
+    return f"{t.functor}({', '.join(oracle_render_term(a) for a in t.args)})"
+
+
+def oracle_render_literal(lit: Literal) -> str:
+    if not lit.args:
+        return lit.predicate
+    return f"{lit.predicate}({', '.join(oracle_render_term(a) for a in lit.args)})"
+
+
+def oracle_render_in_order(literals: list[Literal]) -> str:
+    pos = [l for l in literals if l.positive]
+    body = [l for l in literals if not l.positive]
+    head_txt = " ; ".join(oracle_render_literal(l) for l in pos) if pos else ""
+    if not body:
+        return f"{head_txt}."
+    body_txt = ", ".join(oracle_render_literal(l.atom()) for l in body)
+    if not head_txt:
+        return f":- {body_txt}."
+    return f"{head_txt} :- {body_txt}."
+
+
+def oracle_skeleton(lit: Literal) -> str:
+    def erase(t) -> str:
+        if isinstance(t, Var):
+            return "*"
+        if not t.args:
+            return t.functor
+        return f"{t.functor}({','.join(erase(a) for a in t.args)})"
+
+    sign = "+" if lit.positive else "-"
+    return f"{sign}{lit.predicate}/{len(lit.args)}({','.join(erase(a) for a in lit.args)})"
 
 
 def oracle_canonical_renaming(literals: list[Literal]) -> dict:
@@ -37,7 +77,7 @@ def oracle_canonical_renaming(literals: list[Literal]) -> dict:
 
 def oracle_rendered_with_renaming(literals: list[Literal]) -> str:
     theta = oracle_canonical_renaming(literals)
-    return _render_in_order([apply_to_literal(l, theta) for l in literals])
+    return oracle_render_in_order([apply_to_literal(l, theta) for l in literals])
 
 
 def oracle_local_var_pattern(lit: Literal) -> tuple[int, ...]:
@@ -57,15 +97,15 @@ def oracle_local_var_pattern(lit: Literal) -> tuple[int, ...]:
 
 
 def oracle_render_clause(c: Clause) -> str:
-    pos = sorted((l for l in c.literals if l.positive), key=_skeleton)
-    negs = sorted((l for l in c.literals if not l.positive), key=_skeleton)
+    pos = sorted((l for l in c.literals if l.positive), key=oracle_skeleton)
+    negs = sorted((l for l in c.literals if not l.positive), key=oracle_skeleton)
     ordered = pos + negs
 
     groups: list[list[Literal]] = []
     for lit in ordered:
         if (
             groups
-            and _skeleton(groups[-1][0]) == _skeleton(lit)
+            and oracle_skeleton(groups[-1][0]) == oracle_skeleton(lit)
             and groups[-1][0].positive == lit.positive
         ):
             groups[-1].append(lit)
@@ -139,18 +179,32 @@ def test_render_clause_equals_oracle_on_renaming_twins(rng, sig):
     for _ in range(400):
         c = twin_clause(rng, sig)
         assert render_clause(c) == oracle_render_clause(c), c
-        skeletons = [_skeleton(l) for l in c.literals]
+        skeletons = [oracle_skeleton(l) for l in c.literals]
         twins += len(skeletons) > len(set(skeletons))
     assert twins > 100
 
 
 def test_render_clause_equals_oracle_past_the_permutation_budget():
     x = Var("X")
-    ys = [Var(f"Y{i}") for i in range(9)]
-    c = Clause([atom("p", x)] + [neg("q", x if i % 3 else y, y) for i, y in enumerate(ys)])
-    assert factorial(9) > _PERMUTE_BUDGET
-    assert len({_skeleton(l) for l in c.literals}) == 2
-    assert render_clause(c) == oracle_render_clause(c)
+    # With 12 twins the clause has 13 variables, and text order puts X10
+    # before X2.
+    for twins in (9, 12):
+        ys = [Var(f"Y{i}") for i in range(twins)]
+        c = Clause([atom("p", x)] + [neg("q", x if i % 3 else y, y) for i, y in enumerate(ys)])
+        assert factorial(twins) > _PERMUTE_BUDGET
+        assert len({oracle_skeleton(l) for l in c.literals}) == 2
+        text = render_clause(c)
+        assert text == oracle_render_clause(c)
+        assert ("X12" in text) == (twins == 12)
+
+
+def test_render_clause_minimum_compares_variable_names_as_text():
+    vs = [Var(f"V{i}") for i in range(10)]
+    a, b = Var("A"), Var("B")
+    c = Clause([atom("p", *vs), neg("q", vs[2], a), neg("q", b, vs[2])])
+    text = render_clause(c)
+    assert text == oracle_render_clause(c)
+    assert text.endswith(":- q(X10, X2), q(X2, X11).")
 
 
 @pytest.mark.parametrize("sig", [SIG_UNARY, SIG_BINARY], ids=["unary", "binary"])
