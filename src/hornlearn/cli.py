@@ -2,6 +2,8 @@
 Command-line surface for batch runs.
 
 Subcommands: distance, lgg, rlgg, model, learn, analyze, reproduce.
+Each reproduce case is a list of named checks, run in order; the first
+failing one is reported as "FAIL <case>: <label>".
 Exit codes: 0 success, 1 assertion/golden failure, 2 usage error,
 3 input parse error (also a malformed trace line or too deep nesting).
 Identical invocations produce bit-identical output.
@@ -89,7 +91,10 @@ def cmd_rlgg(args: argparse.Namespace) -> int:
     if depth is None:
         depth = default_depth_bound(literal_depth(example), background)
     if is_covered(background, example, depth):
-        print(f"% example {render_literal(example)} is already covered at depth {depth}")
+        if args.format == "json":
+            print(json.dumps({"clauses": [], "covered": True, "depthBound": depth}))
+        else:
+            print(f"% example {render_literal(example)} is already covered at depth {depth}")
         return EXIT_OK
     clauses = saturate(background, example, SaturationPolicy(args.policy), depth)
     lines = sorted(render_clause(c) for c in clauses)
@@ -201,161 +206,113 @@ def _golden_text(name: str) -> str:
     return resources.files("hornlearn").joinpath("golden", name).read_text(encoding="utf-8")
 
 
-def _check_trace_against_golden(actual_lines: list[str], golden_name: str) -> str | None:
-    """None if the serialized trace matches the committed fixture; otherwise
-    a message naming the first differing stage."""
+def _golden_check(actual_lines: list[str], golden_name: str) -> tuple[str, bool]:
+    """(label, ok) for the serialized trace against the committed fixture."""
     golden_lines = [l for l in _golden_text(golden_name).splitlines() if l.strip()]
     if len(golden_lines) != len(actual_lines):
-        return f"stage count differs: expected {len(golden_lines)}, got {len(actual_lines)}"
+        return f"stage count differs: expected {len(golden_lines)}, got {len(actual_lines)}", False
     for i, (want, got) in enumerate(zip(golden_lines, actual_lines)):
         if json.loads(want) != json.loads(got):
-            return f"first difference at stage {i}:\n  expected: {want}\n  actual:   {got}"
-    return None
+            return f"first difference at stage {i}:\n  expected: {want}\n  actual:   {got}", False
+    return "trace matches the golden fixture", True
 
 
-def _reproduce_trace_case(
-    name: str,
-    stream: ExampleStream,
-    system: System,
-    outdir: Path,
-    expectations,
-    report_depth: int | None = None,
-    window: int | None = None,
-) -> int:
+def _fold(outdir: Path, name: str, stream: ExampleStream, system: System,
+          window: int | None = None, depth: int | None = None):
+    """Run the learner over the stream and write <name>.trace.jsonl and
+    <name>.report.json; returns the trace lines, the records and the report."""
     cfg = config_for_stream(stream, system, max_stages=len(stream))
     records = run_stream(stream, cfg)
     lines = _write_trace(records, str(outdir / f"{name}.trace.jsonl"))
-
-    mismatch = _check_trace_against_golden(lines, f"{name}.trace.jsonl")
-    if mismatch:
-        print(f"FAIL {name}: {mismatch}", file=sys.stderr)
-        return EXIT_ASSERTION
-
-    w = window if window is not None else default_window(len(records))
-    depth = report_depth if report_depth is not None else cfg.depth_bound
-    report = convergence_report(records, frozenset(rec.example for rec in records), w, depth)
+    w = window or default_window(len(records))
+    streamed = frozenset(rec.example for rec in records)
+    report = convergence_report(records, streamed, w, depth or cfg.depth_bound)
     (outdir / f"{name}.report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-
-    for label, ok in expectations(records, report):
-        if not ok:
-            print(f"FAIL {name}: {label}", file=sys.stderr)
-            return EXIT_ASSERTION
-    print(f"PASS {name}")
-    return EXIT_OK
+    return lines, records, report
 
 
-def _reproduce_example_31(outdir: Path) -> int:
-    def expectations(records, report):
-        yield "verdict is stable", report.verdict is Verdict.STABLE
-        yield "limit is the ascending chain program", render_program(
-            report.candidate_limit
-        ) == "p(0).\np(s(s(X0))) :- p(X0)."
-        yield "limit covers every streamed example", report.limit_correct
-        # Point values of the machinery this trace runs on.
-        zero, s_zero = parse_term("0"), parse_term("s(0)")
-        yield "distance of a term to itself is 0", term_distance(zero, zero) == 0
-        yield "distance across root symbols is 1", str(term_distance(s_zero, zero)) == "1"
-        e = parse_atom("p(0)")
-        yield "priority pre-order is reflexive", priority_precedes(e, e)
+def _example_31(outdir: Path):
+    lines, _, report = _fold(outdir, "example-3.1", even_ascending_stream(11), System.GOLEM)
+    yield _golden_check(lines, "example-3.1.trace.jsonl")
+    yield "verdict is stable", report.verdict is Verdict.STABLE
+    yield "limit is the ascending chain program", render_program(
+        report.candidate_limit
+    ) == "p(0).\np(s(s(X0))) :- p(X0)."
+    yield "limit covers every streamed example", report.limit_correct
+    # Point values of the machinery this trace runs on.
+    zero, s_zero = parse_term("0"), parse_term("s(0)")
+    yield "distance of a term to itself is 0", term_distance(zero, zero) == 0
+    yield "distance across root symbols is 1", str(term_distance(s_zero, zero)) == "1"
+    e = parse_atom("p(0)")
+    yield "priority pre-order is reflexive", priority_precedes(e, e)
 
-    return _reproduce_trace_case(
-        "example-3.1", even_ascending_stream(11), System.GOLEM, outdir, expectations
+
+def _example_32(outdir: Path):
+    lines, _, report = _fold(
+        outdir, "example-3.2", even_reordered_stream(12), System.GOLEM, window=4, depth=14
     )
-
-
-def _reproduce_example_32(outdir: Path) -> int:
-    def expectations(records, report):
-        yield "verdict is convergent-modulo-transients", (
-            report.verdict is Verdict.CONVERGENT_MODULO_TRANSIENTS
-        )
-        yield "limit is the bare descending rule", render_program(
-            report.candidate_limit
-        ) == "p(X0) :- p(s(s(X0)))."
-        yield "candidate model is empty", not report.candidate_model.atoms
-        # Limit-incorrectness is the expected golden outcome here.
-        yield "no streamed example is covered", not any(report.correctness.values())
-
-    return _reproduce_trace_case(
-        "example-3.2",
-        even_reordered_stream(12),
-        System.GOLEM,
-        outdir,
-        expectations,
-        report_depth=14,
-        window=4,
+    yield _golden_check(lines, "example-3.2.trace.jsonl")
+    yield "verdict is convergent-modulo-transients", (
+        report.verdict is Verdict.CONVERGENT_MODULO_TRANSIENTS
     )
+    yield "limit is the bare descending rule", render_program(
+        report.candidate_limit
+    ) == "p(X0) :- p(s(s(X0)))."
+    yield "candidate model is empty", not report.candidate_model.atoms
+    # Limit-incorrectness is the expected golden outcome here.
+    yield "no streamed example is covered", not any(report.correctness.values())
 
 
-def _reproduce_case_1(outdir: Path) -> int:
-    program = parse_program("p(0).\np(s(s(X))) :- p(X).")
-    model = least_model_bounded(program, 7)
+def _case_1(outdir: Path):
+    model = least_model_bounded(parse_program("p(0).\np(s(s(X))) :- p(X)."), 7)
     atoms = sorted(render_literal(a) for a in model.atoms)
     expected = ["p(0)", "p(s(s(0)))", "p(s(s(s(s(0)))))", "p(s(s(s(s(s(s(0)))))))"]
     (outdir / "case-1.model.txt").write_text("\n".join(atoms) + "\n", encoding="utf-8")
-    if atoms != sorted(expected):
-        print(f"FAIL case-1: model mismatch: {atoms}", file=sys.stderr)
-        return EXIT_ASSERTION
-    print("PASS case-1")
-    return EXIT_OK
+    yield f"model mismatch: {atoms}", atoms == sorted(expected)
 
 
-def _reproduce_case_2(outdir: Path) -> int:
+def _case_2(outdir: Path):
     program = parse_program("p(X) :- p(s(s(X))).")
     for depth in (4, 8, 12):
-        model = least_model_bounded(program, depth)
-        if model.atoms:
-            print(f"FAIL case-2: model not empty at depth {depth}", file=sys.stderr)
-            return EXIT_ASSERTION
+        yield f"model not empty at depth {depth}", not least_model_bounded(program, depth).atoms
     (outdir / "case-2.model.txt").write_text("% empty model at depths 4, 8, 12\n", encoding="utf-8")
-    print("PASS case-2")
-    return EXIT_OK
 
 
-def _reproduce_pgolem_fix(outdir: Path) -> int:
-    finals = []
-    for name, stream in (
+def _pgolem_fix(outdir: Path):
+    limits = []
+    for order, stream in (
         ("ascending", even_ascending_stream(11)),
         ("reordered", even_reordered_stream(12)),
     ):
-        cfg = config_for_stream(stream, System.PRIORITIZED_GOLEM, max_stages=len(stream))
-        records = run_stream(stream, cfg)
-        _write_trace(records, str(outdir / f"pgolem-fix.{name}.trace.jsonl"))
-        report = convergence_report(
-            records, frozenset(rec.example for rec in records), 4, cfg.depth_bound
+        _, records, report = _fold(
+            outdir, f"pgolem-fix.{order}", stream, System.PRIORITIZED_GOLEM, window=4
         )
-        (outdir / f"pgolem-fix.{name}.report.json").write_text(
-            report.to_json() + "\n", encoding="utf-8"
-        )
-        if not all(rec.simple for rec in records):
-            print(f"FAIL pgolem-fix: non-simple snapshot on {name} order", file=sys.stderr)
-            return EXIT_ASSERTION
-        if report.verdict is not Verdict.STABLE:
-            print(f"FAIL pgolem-fix: {name} order verdict {report.verdict.value}", file=sys.stderr)
-            return EXIT_ASSERTION
-        if not report.limit_correct:
-            print(f"FAIL pgolem-fix: {name} order limit not correct", file=sys.stderr)
-            return EXIT_ASSERTION
-        finals.append(report.candidate_limit)
-    if not program_variant_equal(finals[0], finals[1]):
-        print("FAIL pgolem-fix: limits differ across orderings", file=sys.stderr)
-        return EXIT_ASSERTION
-    print("PASS pgolem-fix")
-    return EXIT_OK
+        yield f"non-simple snapshot on {order} order", all(rec.simple for rec in records)
+        yield f"{order} order verdict {report.verdict.value}", report.verdict is Verdict.STABLE
+        yield f"{order} order limit not correct", report.limit_correct
+        limits.append(report.candidate_limit)
+    yield "limits differ across orderings", program_variant_equal(*limits)
 
 
+# Each case yields (label, ok) checks; the first failing one is reported.
 REPRODUCE_CASES = {
-    "example-3.1": _reproduce_example_31,
-    "example-3.2": _reproduce_example_32,
-    "case-1": _reproduce_case_1,
-    "case-2": _reproduce_case_2,
-    "pgolem-fix": _reproduce_pgolem_fix,
+    "example-3.1": _example_31,
+    "example-3.2": _example_32,
+    "case-1": _case_1,
+    "case-2": _case_2,
+    "pgolem-fix": _pgolem_fix,
 }
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    return REPRODUCE_CASES[args.case](outdir)
+    for label, ok in REPRODUCE_CASES[args.case](outdir):
+        if not ok:
+            print(f"FAIL {args.case}: {label}", file=sys.stderr)
+            return EXIT_ASSERTION
+    print(f"PASS {args.case}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,12 @@ Two drivers share the same machinery:
   learner order-sensitive.
 
 * pgolem_step: the prioritized variant. A covered arrival never changes the
-  program. An arrival with higher priority than some earlier arrival restarts
-  learning from the snapshot before that stage, replaying the pending
-  arrivals in ascending priority order. Extensions restrict saturation bodies
-  to higher-priority atoms and drop generalized body literals whose subterms
-  do not occur in the head, so every snapshot is a simple program by
-  construction.
+  program. An arrival that strictly precedes some earlier arrival (its
+  subterms a proper subset of that arrival's) restarts learning from the
+  snapshot before that stage, replaying the pending arrivals in ascending
+  priority order. Extensions restrict saturation bodies to higher-priority
+  atoms and drop generalized body literals whose subterms do not occur in
+  the head, so every snapshot is a simple program by construction.
 
 Learned clauses are kept only if definite and range-restricted (head
 variables all occur in the body); degenerate generalizations such as
@@ -240,7 +240,9 @@ def pgolem_step(
 
 
 def _strictly_precedes(a: Literal, b: Literal) -> bool:
-    return a != b and priority_precedes(a, b)
+    """a ≺ b but not b ≺ a: a's subterms are a proper subset of b's. Arrivals
+    of equal priority (p(a, b) and p(b, a), or p(a) and q(a)) are unordered."""
+    return literal_subterms(a) < literal_subterms(b)
 
 
 def _restart_stage(arrivals: list[Literal], e: Literal) -> int | None:
@@ -264,15 +266,12 @@ def _restart_stage(arrivals: list[Literal], e: Literal) -> int | None:
 
 def _priority_sorted(pending: list[Literal]) -> list[Literal]:
     """Ascending priority (topological over the pre-order), ties broken by
-    arrival order. Duplicates keep their first arrival only. b is strictly
-    below a exactly when S(b) < S(a) for the subterm sets, so each set is
-    read once."""
+    arrival order. Duplicates keep their first arrival only."""
     remaining = list(dict.fromkeys(pending))
-    subterms = {a: literal_subterms(a) for a in remaining}
     ordered = []
     while remaining:
         minimal = next(
-            a for a in remaining if not any(subterms[b] < subterms[a] for b in remaining)
+            a for a in remaining if not any(_strictly_precedes(b, a) for b in remaining)
         )
         remaining.remove(minimal)
         ordered.append(minimal)

@@ -36,8 +36,6 @@ class Verdict(Enum):
 @dataclass(frozen=True)
 class LimitReport:
     window_size: int
-    liminf_window: frozenset[Clause]
-    limsup_window: frozenset[Clause]
     per_clause_occurrences: dict[str, list[tuple[int, int]]]
     verdict: Verdict
     candidate_limit: HornProgram
@@ -52,7 +50,7 @@ class LimitReport:
         return {
             "schemaVersion": SCHEMA_VERSION,
             "windowSize": self.window_size,
-            "liminfWindow": sorted(render_clause(c) for c in self.liminf_window),
+            "liminfWindow": sorted(render_clause(c) for c in self.candidate_limit),
             # The occurrence keys are exactly the limsup clauses' texts.
             "limsupWindow": sorted(self.per_clause_occurrences),
             "perClauseOccurrences": {
@@ -163,14 +161,11 @@ def convergence_report(
     else:
         verdict = Verdict.DIVERGENT
 
-    liminf = frozenset(by_key[k] for k in liminf_keys)
-    candidate = HornProgram(liminf)
+    candidate = HornProgram(by_key[k] for k in liminf_keys)
     model = examples_model(candidate, streamed_examples, depth_bound)
     correctness = {e: e in model.atoms for e in streamed_examples}
     return LimitReport(
         window_size=w,
-        liminf_window=liminf,
-        limsup_window=frozenset(by_key.values()),
         per_clause_occurrences=occurrences,
         verdict=verdict,
         candidate_limit=candidate,

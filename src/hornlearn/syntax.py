@@ -22,6 +22,7 @@ order the canonical renderer meets them.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from itertools import groupby, permutations, product
 from math import factorial, prod
@@ -52,53 +53,30 @@ class ParseError(ValueError):
 # Tokenizer
 
 
-_PUNCT = {"(": "lparen", ")": "rparen", ",": "comma", ".": "dot", ";": "semi"}
+_PUNCT = {":-": "arrow", "(": "lparen", ")": "rparen", ",": "comma", ".": "dot", ";": "semi"}
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|(?P<comment>%[^\n]*)|(?P<punct>:-|[(),.;])|(?P<word>\w+)|(?P<bad>.)"
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """Tokens as (kind, text, line, column). A comment does not advance the
+    column, so the eof token after a trailing comment reports its start."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == ":" and i + 1 < n and text[i + 1] == "-":
-            tokens.append(("arrow", ":-", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append((_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch.isdigit() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word[0].isupper():
-                tokens.append(("var", word, line, col))
-            else:
-                tokens.append(("name", word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, tok, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "comment":
+            line_start += len(tok)
+        elif kind == "punct":
+            tokens.append((_PUNCT[tok], tok, line, col))
+        elif kind == "word" and (tok[0].isalpha() or tok[0].isdigit() or tok[0] == "_"):
+            tokens.append(("var" if tok[0].isupper() else "name", tok, line, col))
+        elif kind is not None:  # \w also admits numerics that may not start a word
+            raise ParseError(f"unexpected character {tok[0]!r}", line, col)
+    tokens.append(("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 

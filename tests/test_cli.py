@@ -100,6 +100,17 @@ def test_rlgg_covered_example_is_reported_not_failed(tmp_path, capsys):
     assert "already covered" in out
 
 
+def test_rlgg_covered_example_json_is_json(tmp_path, capsys):
+    bg = tmp_path / "bg.pl"
+    bg.write_text("p(0).\n")
+    code, out, _ = run(
+        capsys, "rlgg", "--background", str(bg), "--example", "p(0)", "--depth", "5",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out) == {"clauses": [], "covered": True, "depthBound": 5}
+
+
 def test_rlgg_ground_policy_grounds_the_background_over_the_example(tmp_path, capsys):
     bg = tmp_path / "bg.pl"
     bg.write_text("r(Y).\nq(X) :- r(X).\n")

@@ -280,3 +280,54 @@ def test_learned_clause_filters_render_no_canonical_text(monkeypatch):
     assert _keep_learned(frozenset([unrestricted])) == set()
     assert _enforce_simplicity(non_simple).literals == syntax.parse_clauses("p(s(X)) :- p(X).")[0].literals
     assert computed == []
+
+
+@pytest.mark.parametrize("text", ["p(a, b).\np(b, a).\n", "p(a).\nq(a).\n"])
+def test_pgolem_does_not_restart_on_an_arrival_of_equal_priority(text):
+    stream = syntax.parse_example_stream(text)
+    records = run_stream(stream, config_for_stream(stream, System.PRIORITIZED_GOLEM))
+    assert [rec.action_text() for rec in records] == ["extended", "extended"]
+
+
+def test_strict_priority_changes_no_program_sequence(rng, monkeypatch):
+    # The pre-order read as strict (a != b and S(a) <= S(b)), with the sort it
+    # needed: equal-priority arrivals then restarted, and the replay rebuilt
+    # the same programs.
+    from conftest import SIG_BINARY, SIG_UNARY, random_stream
+    from hornlearn import learner
+    from hornlearn.logic import literal_subterms
+    from hornlearn.metric import priority_precedes
+
+    def old_priority_sorted(pending):
+        remaining = list(dict.fromkeys(pending))
+        ordered = []
+        while remaining:
+            minimal = next(
+                a
+                for a in remaining
+                if not any(literal_subterms(b) < literal_subterms(a) for b in remaining)
+            )
+            remaining.remove(minimal)
+            ordered.append(minimal)
+        return ordered
+
+    def old_strictly_precedes(a, b):
+        return a != b and priority_precedes(a, b)
+
+    def programs(stream):
+        records = run_stream(stream, config_for_stream(stream, System.PRIORITIZED_GOLEM))
+        texts = [render_program(rec.program) for rec in records]
+        return texts, [rec.action_text() for rec in records]
+
+    relabelled = 0
+    for sig, depth in ((SIG_UNARY, 5), (SIG_BINARY, 3)):
+        for _ in range(60):
+            stream = random_stream(rng, sig, depth)
+            new, new_actions = programs(stream)
+            with monkeypatch.context() as m:
+                m.setattr(learner, "_strictly_precedes", old_strictly_precedes)
+                m.setattr(learner, "_priority_sorted", old_priority_sorted)
+                old, old_actions = programs(stream)
+            assert new == old, list(stream)
+            relabelled += new_actions != old_actions
+    assert relabelled > 0
