@@ -25,12 +25,7 @@ from .logic import (
     is_ground_literal,
 )
 from .metric import clause_distance
-from .semantics import (
-    _ground_clause_instances,
-    _universe_for,
-    examples_model,
-    least_model_bounded,
-)
+from .semantics import _model_entry, _rekey, examples_model, least_model_bounded
 from .subsumption import reduce_clause, theta_subsumes
 from .syntax import literal_order, render_clause, render_literal
 
@@ -116,13 +111,16 @@ def lgg_clause_sets(
     a: frozenset[Clause] | set[Clause], b: frozenset[Clause] | set[Clause]
 ) -> frozenset[Clause]:
     """Pair each clause of a with its distance-nearest clause of b (ties go to
-    the first in canonical order) and keep the nonempty lggs."""
+    the first in canonical order) and keep the nonempty lggs. Only clauses
+    tied at the least distance are rendered."""
     if not a or not b:
         raise ValueError("lgg over clause sets requires nonempty inputs")
-    b_sorted = sorted(b, key=render_clause)
     out = set()
     for c in a:
-        nearest = min(b_sorted, key=lambda d: clause_distance(c, d))
+        distances = [(clause_distance(c, d), d) for d in b]
+        least = min(dist for dist, _ in distances)
+        ties = [d for dist, d in distances if dist == least]
+        nearest = min(ties, key=render_clause) if len(ties) > 1 else ties[0]
         g = lgg_clauses(c, nearest)
         if g.literals:
             out.add(g)
@@ -191,48 +189,44 @@ def reduce_program(p: HornProgram, depth_bound: int) -> HornProgram:
     remaining program's bounded model. Scanning is largest clause first with
     canonical-text tiebreak, so the result is deterministic. One pass is a
     fixpoint: with the signature pinned, both tests are monotone in the
-    remaining set, so a clause kept once stays kept.
+    remaining set, so a clause kept once stays kept. Neither removal changes
+    the bounded model, so the result has p's.
 
     A support filter spares most fact tests their model. At the first fact
-    test the kept clauses K give M(K) and the support set: the heads of one
-    T_P step of K's clauses other than ground facts over M(K). A fact f
-    whose head is outside the support set is kept without a model of
-    rest = K - {f}. That is sound: T_P is monotone and the signature is
-    pinned, so M(rest) ⊆ M(K); a head in M(rest) is the head of an instance
-    of a clause of rest whose body holds in M(rest); and that clause is not
-    a ground fact, whose only head is itself. Later rests only shrink, so
-    the set stays valid. A head inside the set is still decided by the
-    exact test, the bounded model of rest."""
+    test the kept clauses K give M(K) and its support set, which the model
+    slot records: the heads of one T_P step of K's clauses other than
+    ground facts over M(K). A fact f whose head is outside the support set
+    is kept without a model of rest = K - {f}. That is sound: T_P is
+    monotone and the signature is pinned, so M(rest) ⊆ M(K); a head in
+    M(rest) is the head of an instance of a clause of rest whose body holds
+    in M(rest); and that clause is not a ground fact, whose only head is
+    itself. Later rests only shrink, so the set stays valid, and so does any
+    superset. A head inside the set is still decided by the exact test, the
+    bounded model of rest.
+
+    For a range-restricted p, M(K) = M(p), so p's model and support set (a
+    superset of K's) serve, and afterwards the slot keeps p's model as the
+    result's. A p with an unbound head variable keeps M(K): grounding a
+    clause subsumed before the first fact test may exceed the universe
+    cap."""
     clauses = set(p.clauses)
     # Removals must not shrink the term language; only a clause with an
     # unbound head variable grounds over it.
     signature = None if p.range_restricted else p.signature()
-    support: frozenset[Literal] | None = None
+    entry = _model_entry(p, depth_bound, None) if p.range_restricted else None
+    support = entry.support if entry else None
     for c in sorted(clauses, key=lambda c: (-len(c.literals), render_clause(c))):
         rest = clauses - {c}
         if any(theta_subsumes(d, c)[0] for d in rest):
             clauses = rest
         elif c.is_fact and rest:
             if support is None:
-                support = _support(HornProgram(clauses), depth_bound, signature)
+                support = _model_entry(HornProgram(clauses), depth_bound, signature).support
             if c.head in support:
                 model = least_model_bounded(HornProgram(rest), depth_bound, signature)
                 if c.head in model.atoms:
                     clauses = rest
-    return HornProgram(clauses)
-
-
-def _support(
-    kept: HornProgram, depth_bound: int, signature: frozenset[tuple[str, int]] | None
-) -> frozenset[Literal]:
-    """Heads of one T_P step of kept's clauses other than ground facts over
-    M(kept), on the universe M(kept) grounds with."""
-    atoms = least_model_bounded(kept, depth_bound, signature).atoms
-    universe = _universe_for(kept, depth_bound, signature)
-    empty: frozenset[Literal] = frozenset()
-    return frozenset(
-        h
-        for c in kept
-        if not c.is_fact
-        for h in _ground_clause_instances(c, empty, atoms, atoms, universe)
-    )
+    result = HornProgram(clauses)
+    if entry is not None:
+        _rekey(entry, result)
+    return result

@@ -34,6 +34,7 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 
 from .generalize import (
     SaturationPolicy,
@@ -48,6 +49,7 @@ from .logic import (
     Literal,
     fact,
     is_ground_literal,
+    literal_depth,
     literal_subterms,
 )
 from .metric import is_simple_program, priority_precedes
@@ -241,8 +243,9 @@ def pgolem_step(
 
 def _strictly_precedes(a: Literal, b: Literal) -> bool:
     """a ≺ b but not b ≺ a: a's subterms are a proper subset of b's. Arrivals
-    of equal priority (p(a, b) and p(b, a), or p(a) and q(a)) are unordered."""
-    return literal_subterms(a) < literal_subterms(b)
+    of equal priority (p(a, b) and p(b, a), or p(a) and q(a)) are unordered.
+    A deeper a is rejected before either subterm set is built."""
+    return literal_depth(a) <= literal_depth(b) and literal_subterms(a) < literal_subterms(b)
 
 
 def _restart_stage(arrivals: list[Literal], e: Literal) -> int | None:
@@ -266,15 +269,25 @@ def _restart_stage(arrivals: list[Literal], e: Literal) -> int | None:
 
 def _priority_sorted(pending: list[Literal]) -> list[Literal]:
     """Ascending priority (topological over the pre-order), ties broken by
-    arrival order. Duplicates keep their first arrival only."""
-    remaining = list(dict.fromkeys(pending))
+    arrival order. Duplicates keep their first arrival only. Kahn's sort on
+    the strict-precedence graph, with the ready arrivals in a min-heap on
+    arrival index, so each step takes the earliest arrival that nothing
+    remaining strictly precedes."""
+    distinct = list(dict.fromkeys(pending))
+    later = [[j for j, b in enumerate(distinct) if _strictly_precedes(a, b)] for a in distinct]
+    blockers = [0] * len(distinct)
+    for js in later:
+        for j in js:
+            blockers[j] += 1
+    ready = [j for j, n in enumerate(blockers) if not n]
     ordered = []
-    while remaining:
-        minimal = next(
-            a for a in remaining if not any(_strictly_precedes(b, a) for b in remaining)
-        )
-        remaining.remove(minimal)
-        ordered.append(minimal)
+    while ready:
+        i = heappop(ready)
+        ordered.append(distinct[i])
+        for j in later[i]:
+            blockers[j] -= 1
+            if not blockers[j]:
+                heappush(ready, j)
     return ordered
 
 

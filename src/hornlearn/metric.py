@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .logic import Clause, HornProgram, Literal, Term, Var, literal_subterms
+from .logic import Clause, HornProgram, Literal, Term, Var, literal_depth, literal_subterms
 
 Distance = Fraction
 
@@ -63,8 +63,10 @@ def clause_distance(c: Clause, d: Clause) -> Distance:
 
 def priority_precedes(l: Literal, m: Literal) -> bool:
     """l ≺ m: every subterm occurring in l occurs in m (l has the higher
-    priority). Reflexive and transitive."""
-    return literal_subterms(l) <= literal_subterms(m)
+    priority). Reflexive and transitive. A literal deeper than m has an
+    argument deeper than every term of m, so it is rejected before either
+    subterm set is built."""
+    return literal_depth(l) <= literal_depth(m) and literal_subterms(l) <= literal_subterms(m)
 
 
 def is_simple(c: Clause) -> bool:

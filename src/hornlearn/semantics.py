@@ -21,13 +21,21 @@ Rule heads whose instantiated depth exceeds the bound are not derived
 (frontier truncation), which keeps the model well-defined as the depth-<=D
 fragment; the model counts the distinct heads dropped this way.
 
-`least_model_bounded` remembers the last model it built, keyed on the
-program, the depth bound and the grounding universe described below. That
-universe is empty unless a clause is not range-restricted, so the widened
-signatures of `examples_model` share one entry. Programs are immutable, so
-an entry never goes stale, and a learner that has settled asks about one
-program over and over. The memo holds one entry (_MODEL_MEMO_SIZE) and
-lives only as long as the process.
+`least_model_bounded` keeps the last model it built in one slot, keyed on
+the program, the depth bound and the grounding universe described below.
+That universe is empty unless a clause is not range-restricted, so the
+widened signatures of `examples_model` share one entry. A query equal to the
+key is a hit. A query that adds clauses to the key's program, under the same
+bound and universe, is a warm start (Gupta, Mumick & Subrahmanian, SIGMOD
+1993): T_P is monotone, so the fixpoint may start from the stored model,
+firing the added clauses over its atoms and then every rule on what they
+add. Anything else is built from empty. The fixpoint also records the
+support set, one T_P step over the model of the clauses other than ground
+facts (dropped heads included), for `generalize.reduce_program`, which then
+re-keys the slot to its result, a program with the same model. The slot is
+one immutable tuple, read once and replaced whole, so concurrent callers
+see an old entry or a new one, each true of its key. It lives only as long
+as the process.
 
 Clauses that are not range-restricted (a head variable missing from the
 body, as in the unit clause r(Y).) are grounded by enumerating the bounded
@@ -42,8 +50,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .logic import (
     Clause,
@@ -60,10 +68,6 @@ from .subsumption import substitutions
 from .syntax import render_literal
 
 _UNIVERSE_CAP = 200_000
-# Models kept by least_model_bounded. One suffices: a settled learner asks
-# about the same program again and again. Each entry holds a whole model, so
-# a larger memo raises peak memory.
-_MODEL_MEMO_SIZE = 1
 
 
 @dataclass(frozen=True)
@@ -189,27 +193,75 @@ def least_model_bounded(
 ) -> BoundedModel:
     """The fixpoint of tp_step from the empty set (the bounded base is finite
     and the step is inflationary and monotone, so it exists), computed
-    semi-naively and memoized on (p, depth_bound, universe).
+    semi-naively and kept in the model slot on (p, depth_bound, universe).
     A bound below 1 is a ValueError: no atom has depth 0."""
+    return _model_entry(p, depth_bound, signature).model
+
+
+class _Entry(NamedTuple):
+    """The model slot (module docstring)."""
+
+    program: HornProgram
+    depth_bound: int
+    universe: frozenset[Term]
+    model: BoundedModel
+    dropped: frozenset[Literal]
+    support: frozenset[Literal]
+
+
+_slot: _Entry | None = None
+
+
+def _model_entry(
+    p: HornProgram, depth_bound: int, signature: frozenset[tuple[str, int]] | None
+) -> _Entry:
     if depth_bound < 1:
         raise ValueError("depth bound must be a positive integer")
     return _least_model(p, depth_bound, _universe_for(p, depth_bound, signature))
 
 
-@lru_cache(maxsize=_MODEL_MEMO_SIZE)
-def _least_model(p: HornProgram, depth_bound: int, universe: frozenset[Term]) -> BoundedModel:
-    """Round 0 fires every clause on nothing, so only unit clauses derive;
-    every later round fires the rules on the atoms the previous round added.
-    A head deeper than the bound is dropped and counted once."""
+def _least_model(p: HornProgram, depth_bound: int, universe: frozenset[Term]) -> _Entry:
+    """A hit returns the slot; a slot whose program is a clause subset of p
+    under the same bound and universe is the base of a warm start; anything
+    else builds from empty. The result replaces the slot."""
+    global _slot
+    base = _slot
+    if (
+        base is None
+        or base.depth_bound != depth_bound
+        or base.universe != universe
+        or not base.program.clauses <= p.clauses
+    ):
+        base = None
+    elif len(base.program) == len(p):
+        return base
+    _slot = entry = _fixpoint(p, depth_bound, universe, base)
+    return entry
+
+
+def _fixpoint(
+    p: HornProgram, depth_bound: int, universe: frozenset[Term], base: _Entry | None
+) -> _Entry:
+    """From empty, round 0 fires every clause on nothing, so only unit
+    clauses derive; from a base, round 0 fires the clauses the base lacks
+    over the base's atoms. Every later round fires the rules on the atoms
+    the previous round added. A head deeper than the bound is dropped and
+    counted once."""
     old: frozenset[Literal] = frozenset()
-    new: frozenset[Literal] = frozenset()
-    dropped: set[Literal] = set()
-    clauses: Iterable[Clause] = p
+    clauses: Iterable[Clause]
+    if base is None:
+        new, dropped, support, clauses = old, set(), set(), p
+    else:
+        new, dropped, support = base.model.atoms, set(base.dropped), set(base.support)
+        clauses = p.clauses - base.program.clauses
     while True:
         known = old | new
         fresh: set[Literal] = set()
         for clause in clauses:
+            supports = not clause.is_fact
             for h in _ground_clause_instances(clause, old, new, known, universe):
+                if supports:
+                    support.add(h)
                 if h in known or h in fresh or h in dropped:
                     continue
                 if literal_depth(h) <= depth_bound:
@@ -217,8 +269,17 @@ def _least_model(p: HornProgram, depth_bound: int, universe: frozenset[Term]) ->
                 else:
                     dropped.add(h)
         if not fresh:
-            return BoundedModel(depth_bound, known, truncated=len(dropped))
+            model = BoundedModel(depth_bound, known, truncated=len(dropped))
+            return _Entry(p, depth_bound, universe, model, frozenset(dropped), frozenset(support))
         old, new, clauses = known, frozenset(fresh), p.rules
+
+
+def _rekey(entry: _Entry, p: HornProgram) -> None:
+    """Store entry's model as p's, which the caller knows to be the same.
+    The support set stays entry's, a superset of p's, which filters as
+    soundly."""
+    global _slot
+    _slot = entry._replace(program=p)
 
 
 def covers(

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from hornlearn import Clause, ExampleStream, Fn, HornProgram, Literal, Var
+from hornlearn import Clause, ExampleStream, Fn, HornProgram, Literal, Var, semantics
 from hornlearn.logic import literal_subterms
 
 # (functors, predicates) for the two signatures the suites draw from.
@@ -99,3 +100,26 @@ def random_stream(rng: random.Random, sig, max_depth: int, max_arrivals: int = 8
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260810)
+
+
+def count_model_builds(monkeypatch) -> Counter:
+    """Count how the model slot answers each query from now on: "hit" (no
+    fixpoint ran), "warm" (the fixpoint started from the slot) or "cold"
+    (it started from empty)."""
+    counts: Counter = Counter()
+    least_model, fixpoint = semantics._least_model, semantics._fixpoint
+
+    def answered(p, depth_bound, universe):
+        before = sum(counts.values())
+        entry = least_model(p, depth_bound, universe)
+        if sum(counts.values()) == before:
+            counts["hit"] += 1
+        return entry
+
+    def built(p, depth_bound, universe, base):
+        counts["cold" if base is None else "warm"] += 1
+        return fixpoint(p, depth_bound, universe, base)
+
+    monkeypatch.setattr(semantics, "_least_model", answered)
+    monkeypatch.setattr(semantics, "_fixpoint", built)
+    return counts

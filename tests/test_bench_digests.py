@@ -4,8 +4,8 @@ write the traces recorded in perfbench/expected.json.
 perfbench is imported read-only, as the benchmark itself runs it: both golem
 streams and the first pool entry of 8 evenly spaced pgolem strata are folded
 and passed through `workloads.check` (trace digest plus paper property).
-Two of them are folded again without the bounded-model memo, which must
-change neither the trace nor the report.
+Two of them are folded again with the bounded-model slot emptied before
+every query, which must change neither the trace nor the report.
 """
 
 import json
@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from hornlearn import config_for_stream, convergence_report, default_window, run_stream, semantics
+
+from conftest import count_model_builds
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads as wl  # noqa: E402
@@ -60,30 +62,33 @@ def test_trace_matches_recorded_digest(name, order):
     [p for p in sampled_orders() if p.id in ("golem-ascending", "pgolem-shuffled-stratum0")],
 )
 def test_model_memo_changes_no_trace_or_report(monkeypatch, name, order):
-    memo = semantics._least_model
-    # A larger memo raised peak memory on the benchmark (64 entries: about
-    # +10% on golem-descending), so it must stay this small.
-    assert memo.cache_info().maxsize == semantics._MODEL_MEMO_SIZE <= 2
-    sizes = []
+    # The slot holds one model: a 64-entry memo raised peak memory on the
+    # benchmark by about 10% on golem-descending.
+    counts = count_model_builds(monkeypatch)
+    least_model = semantics._least_model
+    held = []
 
     def remembered(*args):
-        model = memo(*args)
-        sizes.append(memo.cache_info().currsize)
-        return model
+        entry = least_model(*args)
+        entries = [v for v in vars(semantics).values() if isinstance(v, semantics._Entry)]
+        held.append(entries == [entry])
+        return entry
 
     def cleared(*args):
-        memo.cache_clear()
-        return memo(*args)
+        semantics._slot = None
+        return least_model(*args)
 
     def traced_fold():
         _, _, _, records, report = fold(name, order)
         return wl.trace_digest(records), report.to_json()
 
-    memo.cache_clear()
+    semantics._slot = None
     monkeypatch.setattr(semantics, "_least_model", remembered)
-    with_memo = traced_fold()
-    hits = memo.cache_info().hits
+    with_slot = traced_fold()
+    queries = sum(counts.values())
+    assert counts["hit"] > 0 and counts["warm"] > 0 and held and all(held), (counts, held)
+    counts.clear()
     monkeypatch.setattr(semantics, "_least_model", cleared)
-    assert traced_fold() == with_memo
-    assert hits > 0 and sizes and max(sizes) <= semantics._MODEL_MEMO_SIZE, (hits, sizes)
-    memo.cache_clear()
+    assert traced_fold() == with_slot
+    assert counts == {"cold": queries}, (counts, queries)
+    semantics._slot = None

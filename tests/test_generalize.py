@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,11 @@ from hornlearn import (
     PairTable,
     SaturationPolicy,
     Var,
+    apply_to_clause,
     atom,
+    clause_distance,
     fact,
+    generalize,
     lgg_clause_sets,
     lgg_clauses,
     lgg_literals,
@@ -27,6 +31,7 @@ from hornlearn.cases import numeral
 from hornlearn.logic import literal_variables
 from hornlearn.semantics import least_model_bounded
 from hornlearn.subsumption import clause_variant_equal, reduce_clause
+from hornlearn.syntax import render_clause
 
 from conftest import SIG_UNARY, random_definite_clause, random_simple_program
 
@@ -163,6 +168,45 @@ def test_clause_set_lgg_identity():
     got = lgg_clause_sets({PI_1}, {PI_1})
     (g,) = got
     assert clause_variant_equal(g, PI_1)
+
+
+def oracle_lgg_clause_sets(a, b):
+    """The pairing lgg_clause_sets replaced: b sorted by canonical text once,
+    then the first clause at the least distance."""
+    b_sorted = sorted(b, key=render_clause)
+    out = set()
+    for c in a:
+        g = lgg_clauses(c, min(b_sorted, key=lambda d: clause_distance(c, d)))
+        if g.literals:
+            out.add(g)
+    return frozenset(out)
+
+
+def test_clause_set_lgg_equals_sorted_min_oracle(monkeypatch):
+    rng = random.Random(1962)
+    rendered = []
+    monkeypatch.setattr(
+        generalize, "render_clause", lambda c: rendered.append(c) or render_clause(c)
+    )
+    with_ties = 0
+    for _ in range(300):
+        a = {random_definite_clause(rng, SIG_UNARY, 3) for _ in range(rng.randint(1, 3))}
+        b = {random_definite_clause(rng, SIG_UNARY, 3) for _ in range(rng.randint(1, 4))}
+        if rng.random() < 0.3:
+            # A variant ties with its original at every distance.
+            c = next(iter(b))
+            b.add(apply_to_clause(c, {v: Var(v.name + "1") for v in c.variables()}))
+        rendered.clear()
+        assert lgg_clause_sets(a, b) == oracle_lgg_clause_sets(a, b), (a, b)
+        # Only clauses tied at the least distance are rendered, to break the tie.
+        tied = []
+        for c in a:
+            distance = {d: clause_distance(c, d) for d in b}
+            nearest = [d for d in b if distance[d] == min(distance.values())]
+            tied += nearest if len(nearest) > 1 else []
+        assert Counter(rendered) == Counter(tied), (a, b)
+        with_ties += bool(tied)
+    assert with_ties > 50, with_ties
 
 
 def test_clause_set_lgg_rejects_empty_sets():

@@ -20,9 +20,19 @@ from hornlearn import (
     priority_precedes,
     term_distance,
 )
-from hornlearn.cases import numeral
+from hornlearn import learner, metric
+from hornlearn.cases import even_atom, numeral
+from hornlearn.learner import _strictly_precedes
+from hornlearn.logic import literal_depth, literal_subterms
 
-from conftest import SIG_BINARY, SIG_UNARY, random_literal, random_simple_clause, random_term
+from conftest import (
+    SIG_BINARY,
+    SIG_UNARY,
+    random_atom,
+    random_literal,
+    random_simple_clause,
+    random_term,
+)
 
 ZERO = Fn("0")
 
@@ -242,3 +252,29 @@ def test_simple_iff_every_body_literal_precedes_head(seed):
     c = random_simple_clause(rng, SIG_UNARY, max_depth=3)
     assert is_simple(c) == all(priority_precedes(b, c.head) for b in c.body)
     assert is_simple(c)
+
+
+def test_precedence_depth_pre_check_agrees_with_the_plain_subset_test():
+    rng = random.Random(1962)
+    # SIG_BINARY plus a zero-arity predicate, whose subterm set is empty.
+    sig = (SIG_BINARY[0], SIG_BINARY[1] + (("z", 0),))
+    rejected = zero_arity = 0
+    for _ in range(4000):
+        l, m = (random_atom(rng, sig, rng.randint(1, 4), rng.random() < 0.5) for _ in "lm")
+        below = literal_subterms(l) <= literal_subterms(m)
+        assert priority_precedes(l, m) == below, (l, m)
+        assert _strictly_precedes(l, m) == (below and literal_subterms(l) != literal_subterms(m))
+        rejected += literal_depth(l) > literal_depth(m)
+        zero_arity += not l.args or not m.args
+    assert rejected > 1000 and zero_arity > 500, (rejected, zero_arity)
+
+
+def test_a_deeper_literal_precedes_nothing_and_builds_no_subterm_set(monkeypatch):
+    def refused(lit):
+        raise AssertionError(f"subterm set built for {lit}")
+
+    monkeypatch.setattr(metric, "literal_subterms", refused)
+    monkeypatch.setattr(learner, "literal_subterms", refused)
+    deep, shallow = even_atom(8), even_atom(2)
+    assert not priority_precedes(deep, shallow)
+    assert not _strictly_precedes(deep, shallow)

@@ -1,8 +1,8 @@
 """Differential tests: the one-pass reductions, the backward restart scan,
 the one-read priority sort and the rejection tests of theta-subsumption
 against the slow versions they replaced, kept here as oracles only. The
-oracles share neither the rejection tests nor the support filter of
-`reduce_program`."""
+oracles share neither the rejection tests, the support filter nor the
+model slot of `reduce_program`."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import pytest
 from hornlearn import (
     Clause,
     ExampleStream,
+    Fn,
     HornProgram,
     Literal,
     System,
@@ -27,17 +28,18 @@ from hornlearn import (
     semantics,
     theta_subsumes,
 )
-from hornlearn.cases import even_atom
+from hornlearn.cases import even_atom, numeral
 from hornlearn.learner import _priority_sorted, _restart_stage, _strictly_precedes
 from hornlearn.logic import literal_variables
 from hornlearn.metric import priority_precedes
-from hornlearn.semantics import least_model_bounded
+from hornlearn.semantics import _universe_for, least_model_bounded
 from hornlearn.subsumption import reduce_clause, substitutions
 from hornlearn.syntax import literal_order, render_clause
 
 from conftest import (
     SIG_BINARY,
     SIG_UNARY,
+    count_model_builds,
     random_atom,
     random_clause,
     random_definite_clause,
@@ -46,6 +48,7 @@ from conftest import (
     random_simple_program,
     random_term,
 )
+from test_semantics import oracle_least_model
 
 # (signature, term depth of the random inputs, depth bound of the models).
 # SIG_BINARY stays shallow: its bounded universe grows doubly exponentially.
@@ -62,7 +65,7 @@ def oracle_theta_subsumes(c: Clause, d: Clause):
 
 def oracle_reduce_program(p: HornProgram, depth_bound: int) -> HornProgram:
     """Fixpoint removal, rescanning from the top after every removal, with a
-    model of the remaining program for every fact test."""
+    from-scratch model of the remaining program for every fact test."""
     clauses = set(p.clauses)
     signature = p.signature()
     while True:
@@ -74,8 +77,9 @@ def oracle_reduce_program(p: HornProgram, depth_bound: int) -> HornProgram:
                 removed = c
                 break
             if c.is_fact and rest:
-                model = least_model_bounded(HornProgram(rest), depth_bound, signature)
-                if c.head in model.atoms:
+                kept = HornProgram(rest)
+                universe = _universe_for(kept, depth_bound, signature)
+                if c.head in oracle_least_model(kept, depth_bound, universe).atoms:
                     removed = c
                     break
         if removed is None:
@@ -169,8 +173,9 @@ def random_program(rng: random.Random, sig, max_depth: int) -> HornProgram:
 def test_reduce_program_one_pass_equals_rescanning_oracle(
     monkeypatch, rng, sig, max_depth, depth_bound
 ):
-    # The first model a call builds is M(kept), for the support set; every
-    # later one is the exact test of a fact inside that set.
+    # The support set comes with M(kept) from the model slot, so every model
+    # a call asks least_model_bounded for is the exact test of a fact inside
+    # that set.
     models = []
 
     def counted(*args):
@@ -186,7 +191,7 @@ def test_reduce_program_one_pass_equals_rescanning_oracle(
         assert got == outcome(oracle_reduce_program, p, depth_bound), p
         if isinstance(got, HornProgram):
             removed += len(p) - len(got)
-            fallbacks += max(0, len(models) - 1)
+            fallbacks += len(models)
     assert removed > 0 and fallbacks > 0, (removed, fallbacks)
 
 
@@ -224,25 +229,27 @@ def test_theta_subsumes_equals_bare_search_oracle(rng, sig, max_depth, depth_bou
 
 
 def test_golem_descending_builds_at_most_one_model_per_reduction(monkeypatch):
+    # Each reduction reads the model its input already has in the slot, or
+    # extends the slot's model: it never builds one from empty.
     stream = ExampleStream(even_atom(2 * k) for k in reversed(range(16)))
     cfg = config_for_stream(stream, System.GOLEM)
-    memo = semantics._least_model
-    misses = []
+    counts = count_model_builds(monkeypatch)
+    builds = []
 
     def counted(p, depth_bound):
-        before = memo.cache_info().misses
+        before = counts.copy()
         out = reduce_program(p, depth_bound)
-        misses.append(memo.cache_info().misses - before)
+        builds.append((counts["cold"] - before["cold"], counts["warm"] - before["warm"]))
         return out
 
     def trace_bytes() -> bytes:
-        memo.cache_clear()
+        semantics._slot = None
         lines = [json.dumps(r.to_json_dict()) for r in run_stream(stream, cfg)]
         return ("\n".join(lines) + "\n").encode("utf-8")
 
     monkeypatch.setattr(learner, "reduce_program", counted)
     got = trace_bytes()
-    assert len(misses) >= 15 and max(misses) <= 1, misses
+    assert len(builds) >= 15 and all(cold == 0 and warm <= 1 for cold, warm in builds), builds
     monkeypatch.setattr(learner, "reduce_program", oracle_reduce_program)
     assert got == trace_bytes()
 
@@ -291,3 +298,20 @@ def test_priority_sorted_equals_selection_oracle(rng, sig, max_depth, depth_boun
             for b in distinct
         )
     assert reordered > 50 and equivalents > 50
+
+
+@pytest.mark.slow
+def test_priority_sorted_equals_selection_oracle_on_96_descending_arrivals():
+    # Two interleaved descending chains, over 0 and over a: each chain's
+    # least arrival comes last, and taking one frees an earlier arrival
+    # than the other chain's ready one.
+    pending = [
+        Literal(True, "p", (numeral(k, base),))
+        for k in reversed(range(48))
+        for base in (Fn("0"), Fn("a"))
+    ]
+    # Equal-priority twins under another predicate keep their arrival order.
+    pending += [Literal(True, "q", x.args) for x in pending[::5]]
+    got = _priority_sorted(pending)
+    assert got == oracle_priority_sorted(pending)
+    assert got[:3] == [Literal(True, "p", (numeral(k),)) for k in range(3)]

@@ -14,17 +14,26 @@ from hornlearn import (
     fact,
     least_model_bounded,
     parse_program,
+    reduce_program,
     tp_step,
 )
 from hornlearn import semantics
 from hornlearn.cases import even_atom, numeral
 from hornlearn.logic import apply_to_literal, literal_depth, literal_variables
-from hornlearn.semantics import default_depth_bound, examples_model
+from hornlearn.semantics import (
+    BoundedModel,
+    _ground_clause_instances,
+    _universe_for,
+    default_depth_bound,
+    examples_model,
+)
 
 from conftest import (
     SIG_BINARY,
     SIG_UNARY,
     VAR_POOL,
+    count_model_builds,
+    random_atom,
     random_definite_clause,
     random_term,
     random_simple_program,
@@ -237,7 +246,43 @@ def test_bound_monotonicity_for_simple_programs(seed):
         assert smaller <= larger
 
 
-# --- semi-naive fixpoint and its memo, against the slow paths -----------------
+# --- semi-naive fixpoint and its model slot, against the slow paths -----------
+
+
+def oracle_least_model(p: HornProgram, depth_bound: int, universe: frozenset) -> BoundedModel:
+    """The from-scratch semi-naive loop that the model slot's warm starts
+    replaced: round 0 fires every clause on nothing, every later round the
+    rules on the atoms the previous round added."""
+    old = new = frozenset()
+    dropped = set()
+    clauses = p
+    while True:
+        known = old | new
+        fresh = set()
+        for clause in clauses:
+            for h in _ground_clause_instances(clause, old, new, known, universe):
+                if h in known or h in fresh or h in dropped:
+                    continue
+                if literal_depth(h) <= depth_bound:
+                    fresh.add(h)
+                else:
+                    dropped.add(h)
+        if not fresh:
+            return BoundedModel(depth_bound, known, truncated=len(dropped))
+        old, new, clauses = known, frozenset(fresh), p.rules
+
+
+def oracle_support(p: HornProgram, universe: frozenset, atoms: frozenset) -> frozenset:
+    """The T_P step that the recorded support set replaced: heads of one
+    step of p's clauses other than ground facts over atoms, deeper than the
+    bound or not."""
+    empty = frozenset()
+    return frozenset(
+        h
+        for c in p
+        if not c.is_fact
+        for h in _ground_clause_instances(c, empty, atoms, atoms, universe)
+    )
 
 
 def oracle_truncated(p: HornProgram, depth_bound: int, atoms: frozenset) -> int:
@@ -277,11 +322,12 @@ def random_program_with_unit(rng: random.Random, sig, depth: int) -> HornProgram
 
 
 @pytest.fixture
-def model_memo():
-    """The memo, emptied before and after the test."""
-    semantics._least_model.cache_clear()
-    yield semantics._least_model
-    semantics._least_model.cache_clear()
+def model_memo(monkeypatch):
+    """The model slot, emptied before and after the test, and the counts of
+    how it answers each query (conftest.count_model_builds)."""
+    semantics._slot = None
+    yield count_model_builds(monkeypatch)
+    semantics._slot = None
 
 
 @pytest.mark.parametrize("sig,depth,bound", [(SIG_UNARY_PQR, 3, 5), (SIG_BINARY_PQR, 2, 3)],
@@ -316,18 +362,18 @@ def test_memo_hit_returns_the_fresh_model(model_memo):
     for _ in range(20):
         p = random_program_with_unit(rng, SIG_UNARY_PQR, 3)
         first = least_model_bounded(p, 5)
-        hits = model_memo.cache_info().hits
+        builds = dict(model_memo)
         again = least_model_bounded(p, 5)
-        assert model_memo.cache_info().hits == hits + 1
-        fresh = model_memo.__wrapped__(p, 5, semantics._universe_for(p, 5))
+        assert model_memo == builds | {"hit": builds.get("hit", 0) + 1}
+        fresh = oracle_least_model(p, 5, _universe_for(p, 5))
         assert again == first == fresh
 
 
 def test_memo_never_shares_an_entry_between_depth_bounds(model_memo):
     shallow = least_model_bounded(CHAIN_UP, 5)
-    misses = model_memo.cache_info().misses
+    cold = model_memo["cold"]
     deep = least_model_bounded(CHAIN_UP, 7)
-    assert model_memo.cache_info().misses == misses + 1
+    assert model_memo["cold"] == cold + 1 and not model_memo["warm"]
     assert (shallow.depth_bound, len(shallow.atoms)) == (5, 3)
     assert (deep.depth_bound, len(deep.atoms)) == (7, 4)
     assert least_model_bounded(CHAIN_UP, 5) == shallow
@@ -340,11 +386,66 @@ def test_memo_keeps_example_signatures_apart_when_the_universe_is_live(model_mem
     assert examples_model(p, [r_a], 2).atoms == {r_a}
     assert examples_model(p, [r_b], 2).atoms == {r_b}
     assert examples_model(p, [r_a], 2).atoms == {r_a}
+    assert model_memo == {"cold": 3}
 
 
 def test_memo_shares_one_entry_across_signatures_when_no_universe_is_needed(model_memo):
     a, b = atom("p", Fn("a")), atom("p", Fn("b"))
     assert not examples_model(CHAIN_UP, [a], 7).atoms & {a, b}
-    hits = model_memo.cache_info().hits
+    hits = model_memo["hit"]
     assert examples_model(CHAIN_UP, [b], 7) == least_model_bounded(CHAIN_UP, 7)
-    assert model_memo.cache_info().hits == hits + 2
+    assert model_memo["hit"] == hits + 2
+
+
+def random_extension(rng: random.Random, sig, depth: int) -> list:
+    """One to three random range-restricted definite clauses and ground
+    facts to add to a program."""
+    out, n = [], rng.randint(1, 3)
+    while len(out) < n:
+        c = random_definite_clause(rng, sig, depth, max_body=2)
+        if rng.random() < 0.3:
+            out.append(fact(random_atom(rng, sig, depth)))
+        elif c.range_restricted:
+            out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("sig,depth,bound", [(SIG_UNARY_PQR, 3, 5), (SIG_BINARY_PQR, 2, 3)],
+                         ids=["unary", "binary"])
+def test_warm_and_inherited_models_equal_the_from_scratch_loop(model_memo, sig, depth, bound):
+    """Each program grows by random clauses three times, so the slot holds a
+    clause subset of every query after the first; then reduce_program
+    re-keys the slot to its result, and the result grows once more."""
+    rng = random.Random(1993 + len(sig[0]))
+    inherited = truncating = 0
+    for _ in range(60):
+        p = HornProgram(random_extension(rng, sig, depth)).with_clauses(CHAIN.clauses)
+        if rng.random() < 0.3:
+            p = p.with_clauses((fact(atom("r", rng.choice(VAR_POOL))),))
+        for _ in range(3):
+            universe = _universe_for(p, bound)
+            model = least_model_bounded(p, bound)
+            fresh = oracle_least_model(p, bound, universe)
+            assert (model.atoms, model.truncated) == (fresh.atoms, fresh.truncated), p
+            assert semantics._slot.support == oracle_support(p, universe, fresh.atoms), p
+            truncating += fresh.truncated > 0
+            p = p.with_clauses(random_extension(rng, sig, depth))
+        if not p.range_restricted:
+            continue
+        result = reduce_program(p, bound)
+        hits = model_memo["hit"]
+        model = least_model_bounded(result, bound)
+        assert model_memo["hit"] == hits + 1
+        fresh = oracle_least_model(result, bound, frozenset())
+        assert (model.atoms, model.truncated) == (fresh.atoms, fresh.truncated), (p, result)
+        inherited += result != p
+        # A warm start from the inherited entry: its support set may keep
+        # heads of clauses the reduction removed, never lose one.
+        grown = result.with_clauses(random_extension(rng, sig, depth))
+        universe = _universe_for(grown, bound)
+        model = least_model_bounded(grown, bound)
+        fresh = oracle_least_model(grown, bound, universe)
+        assert (model.atoms, model.truncated) == (fresh.atoms, fresh.truncated), grown
+        assert semantics._slot.support >= oracle_support(grown, universe, fresh.atoms)
+    assert model_memo["warm"] > 150 and model_memo["cold"] > 20, model_memo
+    assert inherited > 10 and truncating > 50, (inherited, truncating)
