@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from itertools import product
 
 import pytest
@@ -449,3 +451,36 @@ def test_warm_and_inherited_models_equal_the_from_scratch_loop(model_memo, sig, 
         assert semantics._slot.support >= oracle_support(grown, universe, fresh.atoms)
     assert model_memo["warm"] > 150 and model_memo["cold"] > 20, model_memo
     assert inherited > 10 and truncating > 50, (inherited, truncating)
+
+
+def test_threads_sharing_the_slot_get_every_model_right():
+    # Each query reads the slot once and stores one tuple, so a thread never
+    # pairs one program's key with another's model, however they interleave.
+    rng = random.Random(2024)
+    programs = []
+    for _ in range(6):
+        p = HornProgram(random_extension(rng, SIG_UNARY_PQR, 3)).with_clauses(CHAIN.clauses)
+        programs += [p, p.with_clauses(random_extension(rng, SIG_UNARY_PQR, 3))]
+    models = {p: oracle_least_model(p, 5, _universe_for(p, 5)) for p in programs}
+    reduced = {p: reduce_program(p, 5) for p in programs}
+    wrong = []
+
+    def ask(seed: int) -> None:
+        order = random.Random(seed)
+        for _ in range(200):
+            p = order.choice(programs)
+            if least_model_bounded(p, 5) != models[p] or reduce_program(p, 5) != reduced[p]:
+                wrong.append(p)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
