@@ -22,7 +22,7 @@ from .learner import (
     pgolem_step,
     run_stream,
 )
-from .limits import LimitReport, Verdict, convergence_report, default_window, window_limits
+from .limits import LimitReport, Verdict, convergence_report, default_window
 from .logic import (
     Clause,
     ExampleStream,
@@ -37,7 +37,6 @@ from .logic import (
     apply_to_term,
     atom,
     const,
-    depth,
     fact,
     literal_subterms,
     neg,
@@ -59,7 +58,6 @@ from .semantics import (
     default_depth_bound,
     is_covered,
     least_model_bounded,
-    tp_step,
 )
 from .subsumption import clause_variant_equal, program_variant_equal, reduce_clause, theta_subsumes
 from .syntax import (

@@ -4,8 +4,9 @@ Command-line surface for batch runs.
 Subcommands: distance, lgg, rlgg, model, learn, analyze, reproduce.
 Each reproduce case is a list of named checks, run in order; the first
 failing one is reported as "FAIL <case>: <label>".
-Exit codes: 0 success, 1 assertion/golden failure, 2 usage error,
-3 input parse error (also a malformed trace line or too deep nesting).
+Exit codes: 0 success, 1 assertion/golden failure, 2 usage error (also an
+output file or directory that cannot be written), 3 input parse error (also
+a malformed trace line or too deep nesting).
 Identical invocations produce bit-identical output.
 """
 
@@ -108,20 +109,14 @@ def cmd_rlgg(args: argparse.Namespace) -> int:
 
 def cmd_model(args: argparse.Namespace) -> int:
     program = parse_program(_read(args.program))
-    model = least_model_bounded(program, args.depth)
-    atoms = [render_literal(a) for a in model.sorted_atoms()]
+    model = least_model_bounded(program, args.depth).to_json_dict()
     if args.format == "json":
-        print(
-            json.dumps(
-                {"depthBound": model.depth_bound, "truncated": model.truncated, "atoms": atoms},
-                indent=2,
-            )
-        )
+        print(json.dumps(model, indent=2))
     else:
-        for a in atoms:
+        for a in model["atoms"]:
             print(f"{a}.")
-        print(f"% {len(atoms)} atom(s), depth bound {model.depth_bound}, "
-              f"truncated: {model.truncated}")
+        print(f"% {len(model['atoms'])} atom(s), depth bound {model['depthBound']}, "
+              f"truncated: {model['truncated']}")
     return EXIT_OK
 
 
@@ -392,6 +387,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # input reads are ParseErrors already (_read)
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -75,11 +75,7 @@ def lgg_literals(l: Literal, m: Literal, table: PairTable) -> Literal | None:
     """None (undefined) on sign or predicate mismatch."""
     if l.positive != m.positive or l.pred_key != m.pred_key:
         return None
-    return Literal(
-        l.positive,
-        l.predicate,
-        tuple(lgg_terms(a, b, table) for a, b in zip(l.args, m.args)),
-    )
+    return Literal(l.positive, lgg_terms(l.term, m.term, table))
 
 
 def lgg_clauses(c: Clause, d: Clause, table: PairTable | None = None) -> Clause:

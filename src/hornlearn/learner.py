@@ -189,11 +189,10 @@ def _restrict_clause(c: Clause, e: Literal) -> Clause:
 
 
 def _enforce_simplicity(c: Clause) -> Clause:
-    """Drop body literals whose subterms do not all occur in the head."""
+    """Drop body literals that do not precede the head (metric.is_simple)."""
     if not c.is_definite:
         return c
-    head_terms = literal_subterms(c.head)
-    dropped = [l for l in c.negatives if not literal_subterms(l) <= head_terms]
+    dropped = [l for l in c.negatives if not priority_precedes(l, c.head)]
     return Clause(c.literals - set(dropped)) if dropped else c
 
 

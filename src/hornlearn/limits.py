@@ -66,11 +66,7 @@ class LimitReport:
                 )
             },
             "limitCorrect": self.limit_correct,
-            "candidateModel": {
-                "depthBound": self.candidate_model.depth_bound,
-                "truncated": self.candidate_model.truncated,
-                "atoms": [render_literal(a) for a in self.candidate_model.sorted_atoms()],
-            },
+            "candidateModel": self.candidate_model.to_json_dict(),
         }
 
     def to_json(self) -> str:
@@ -99,18 +95,6 @@ def _keyed_window(
             by_key.setdefault(k, c)
         key_sets.append(keys)
     return key_sets, by_key
-
-
-def window_limits(
-    snapshots: list[HornProgram], w: int
-) -> tuple[frozenset[Clause], frozenset[Clause]]:
-    """liminf/limsup over the last w snapshots, clause identity up to variant
-    equality."""
-    key_sets, by_key = _keyed_window(snapshots, w)
-    return (
-        frozenset(by_key[k] for k in set.intersection(*key_sets)),
-        frozenset(by_key.values()),
-    )
 
 
 def _occurrence_intervals(present: list[bool], first_stage: int) -> list[tuple[int, int]]:

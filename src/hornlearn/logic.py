@@ -10,11 +10,15 @@ Terms are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", 2006): `Var` and `Fn` return the existing node for an equal
 term, so `==` is identity. A node stores its hash, depth and groundness,
 computed from its children when it is built, and its subterm and variable
-sets once first asked for. The hash is the structural tuple hash,
-hash((name,)) or hash((functor, args)), the value a frozen dataclass with
-these fields gives, so sets of terms iterate in the order the recorded traces
-were made in and trace bytes do not depend on interning. The intern table
-holds its nodes weakly: a term nothing else refers to leaves it.
+sets once first asked for. The intern table holds its nodes weakly: a term
+nothing else refers to leaves it.
+
+A literal is a sign and an atom, and the atom is a term rooted at the
+predicate symbol (Plotkin 1970), so matching, lgg, distance and rendering of
+literals are the term walks themselves. The argument views (`literal_subterms`,
+`HornProgram.signature`) leave the predicate node out: a predicate is not a
+term of the universe. Output never depends on the order a set iterates
+in: what is rendered is sorted first.
 """
 
 from __future__ import annotations
@@ -114,10 +118,6 @@ def const(name: str) -> Fn:
     return Fn(name)
 
 
-def depth(t: Term) -> int:
-    return t.depth
-
-
 def subterms(t: Term) -> frozenset[Term]:
     """t together with, recursively, every argument subterm. The set stored
     on t holds t itself, so once asked for, t is freed by the cycle collector
@@ -149,10 +149,6 @@ def term_variables(t: Term) -> frozenset[Var]:
     return t._variables
 
 
-def is_ground_term(t: Term) -> bool:
-    return t.ground
-
-
 def apply_to_term(t: Term, theta: Substitution) -> Term:
     """Simultaneous substitution: bound variables are replaced exactly once."""
     if isinstance(t, Var):
@@ -164,34 +160,42 @@ def apply_to_term(t: Term, theta: Substitution) -> Term:
 
 @dataclass(frozen=True)
 class Literal:
-    """A possibly negated atom. Predicate identity is (predicate, arity)."""
+    """A possibly negated atom: a sign and the atom as a term rooted at the
+    predicate. Predicate identity is (predicate, arity)."""
 
     positive: bool
-    predicate: str
-    args: tuple[Term, ...] = ()
+    term: Fn
+
+    @property
+    def predicate(self) -> str:
+        return self.term.functor
+
+    @property
+    def args(self) -> tuple[Term, ...]:
+        return self.term.args
 
     @property
     def arity(self) -> int:
-        return len(self.args)
+        return len(self.term.args)
 
     @property
     def pred_key(self) -> tuple[str, int]:
-        return (self.predicate, len(self.args))
+        return (self.term.functor, len(self.term.args))
 
     def negated(self) -> "Literal":
-        return Literal(not self.positive, self.predicate, self.args)
+        return Literal(not self.positive, self.term)
 
     def atom(self) -> "Literal":
-        """The positive literal with the same predicate and arguments."""
-        return self if self.positive else Literal(True, self.predicate, self.args)
+        """The positive literal with the same atom."""
+        return self if self.positive else Literal(True, self.term)
 
 
 def atom(predicate: str, *args: Term) -> Literal:
-    return Literal(True, predicate, tuple(args))
+    return Literal(True, Fn(predicate, args))
 
 
 def neg(predicate: str, *args: Term) -> Literal:
-    return Literal(False, predicate, tuple(args))
+    return Literal(False, Fn(predicate, args))
 
 
 def literal_subterms(lit: Literal) -> frozenset[Term]:
@@ -203,24 +207,20 @@ def literal_subterms(lit: Literal) -> frozenset[Term]:
 
 
 def literal_variables(lit: Literal) -> frozenset[Var]:
-    out: set[Var] = set()
-    for a in lit.args:
-        out |= term_variables(a)
-    return frozenset(out)
+    return term_variables(lit.term)
 
 
 def literal_depth(lit: Literal) -> int:
-    return max((a.depth for a in lit.args), default=1)
+    """The depth of the deepest argument; 1 for a 0-ary atom."""
+    return max(lit.term.depth - 1, 1)
 
 
 def is_ground_literal(lit: Literal) -> bool:
-    return all(a.ground for a in lit.args)
+    return lit.term.ground
 
 
 def apply_to_literal(lit: Literal, theta: Substitution) -> Literal:
-    return Literal(
-        lit.positive, lit.predicate, tuple(apply_to_term(a, theta) for a in lit.args)
-    )
+    return Literal(lit.positive, apply_to_term(lit.term, theta))
 
 
 @dataclass(frozen=True)
@@ -296,10 +296,7 @@ class Clause:
         return not self.unbound_head_variables
 
     def variables(self) -> frozenset[Var]:
-        out: set[Var] = set()
-        for l in self.literals:
-            out |= literal_variables(l)
-        return frozenset(out)
+        return frozenset().union(*(literal_variables(l) for l in self.literals))
 
     def max_depth(self) -> int:
         return max((literal_depth(l) for l in self.literals), default=1)

@@ -42,13 +42,9 @@ def _agreement(t: Term, s: Term) -> int:
 
 
 def literal_distance(l: Literal, m: Literal) -> Distance:
-    """1 on sign or predicate mismatch; otherwise the literal is treated as a
-    compound term rooted at the predicate symbol."""
-    if l.positive != m.positive or l.pred_key != m.pred_key:
-        return ONE
-    if l.args == m.args:
-        return ZERO
-    return Fraction(1, 1 + min(_agreement(a, b) for a, b in zip(l.args, m.args) if a != b))
+    """1 on sign mismatch; otherwise the distance of the atoms, terms rooted
+    at the predicate symbol, so 1 on predicate mismatch too."""
+    return ONE if l.positive != m.positive else term_distance(l.term, m.term)
 
 
 def clause_distance(c: Clause, d: Clause) -> Distance:
@@ -70,10 +66,10 @@ def priority_precedes(l: Literal, m: Literal) -> bool:
 
 
 def is_simple(c: Clause) -> bool:
-    """Every subterm occurring in the body occurs in the head. Facts are
-    vacuously simple. Rejects non-definite clauses."""
-    head_terms = literal_subterms(c.head)
-    return all(literal_subterms(b) <= head_terms for b in c.body)
+    """Every body atom precedes the head: every subterm occurring in the body
+    occurs in the head. Facts are vacuously simple. Rejects non-definite
+    clauses."""
+    return all(priority_precedes(b, c.head) for b in c.body)
 
 
 def is_simple_program(p: HornProgram) -> bool:

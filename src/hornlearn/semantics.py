@@ -14,8 +14,7 @@ also uses, enumerates them. The least model is computed semi-naively
 and in every later round a rule fires only on substitutions that use an atom
 the previous round added. Body position i searches those new atoms, the
 positions before it the atoms known before that round, and the positions
-after it every atom known, so each instance is found once. `tp_step`, the
-plain immediate-consequence step, is the same round with nothing old.
+after it every atom known, so each instance is found once.
 
 Rule heads whose instantiated depth exceeds the bound are not derived
 (frontier truncation), which keeps the model well-defined as the depth-<=D
@@ -86,6 +85,15 @@ class BoundedModel:
 
     def sorted_atoms(self) -> list[Literal]:
         return sorted(self.atoms, key=lambda a: (a.predicate, literal_depth(a), render_literal(a)))
+
+    def to_json_dict(self) -> dict:
+        """The model as `model --format json` prints it and limit reports
+        carry it."""
+        return {
+            "depthBound": self.depth_bound,
+            "truncated": self.truncated,
+            "atoms": [render_literal(a) for a in self.sorted_atoms()],
+        }
 
 
 def bounded_universe(
@@ -165,36 +173,16 @@ def _ground_clause_instances(
                 yield apply_to_literal(head, theta | dict(zip(free, values)))
 
 
-def tp_step(
-    p: HornProgram,
-    atoms: frozenset[Literal],
-    depth_bound: int,
-    universe: frozenset[Term] | None = None,
-) -> frozenset[Literal]:
-    """One immediate-consequence round: atoms plus every rule-head instance
-    whose body holds in atoms, truncated at the depth bound. Monotone and
-    inflationary. It is the semi-naive round with nothing old and every atom
-    new."""
-    if universe is None:
-        universe = _universe_for(p, depth_bound)
-    empty: frozenset[Literal] = frozenset()
-    return frozenset(atoms).union(
-        h
-        for clause in p
-        for h in _ground_clause_instances(clause, empty, atoms, atoms, universe)
-        if literal_depth(h) <= depth_bound
-    )
-
-
 def least_model_bounded(
     p: HornProgram,
     depth_bound: int,
     signature: frozenset[tuple[str, int]] | None = None,
 ) -> BoundedModel:
-    """The fixpoint of tp_step from the empty set (the bounded base is finite
-    and the step is inflationary and monotone, so it exists), computed
-    semi-naively and kept in the model slot on (p, depth_bound, universe).
-    A bound below 1 is a ValueError: no atom has depth 0."""
+    """The least fixpoint of the immediate-consequence step truncated at the
+    bound (the bounded base is finite and the step is inflationary and
+    monotone, so it exists), computed semi-naively and kept in the model
+    slot on (p, depth_bound, universe). A bound below 1 is a ValueError: no
+    atom has depth 0."""
     return _model_entry(p, depth_bound, signature).model
 
 

@@ -56,14 +56,11 @@ def match_terms(pattern: Term, target: Term, theta: dict[Var, Term]) -> dict[Var
 def match_literals(
     pattern: Literal, target: Literal, theta: dict[Var, Term]
 ) -> dict[Var, Term] | None:
-    if pattern.positive != target.positive or pattern.pred_key != target.pred_key:
+    """Equal signs, then the atoms match as terms: a ground body atom
+    matches only its own node."""
+    if pattern.positive != target.positive:
         return None
-    for pa, ta in zip(pattern.args, target.args):
-        next_theta = match_terms(pa, ta, theta)
-        if next_theta is None:
-            return None
-        theta = next_theta
-    return theta
+    return match_terms(pattern.term, target.term, theta)
 
 
 def substitutions(

@@ -125,7 +125,7 @@ class _Parser:
             raise ParseError(f"expected an atom, found {word!r}", line, col)
         t = self.parse_term()
         assert isinstance(t, Fn)
-        return Literal(True, t.functor, t.args)
+        return Literal(True, t)
 
     def parse_clause(self) -> Clause:
         head = self.parse_atom()
@@ -199,12 +199,6 @@ def _term_text(t: Term, name: Callable[[Var], str]) -> str:
     return f"{t.functor}({', '.join(_term_text(a, name) for a in t.args)})"
 
 
-def _atom_text(lit: Literal, name: Callable[[Var], str]) -> str:
-    if not lit.args:
-        return lit.predicate
-    return f"{lit.predicate}({', '.join(_term_text(a, name) for a in lit.args)})"
-
-
 _own_name = attrgetter("name")
 
 
@@ -213,7 +207,7 @@ def render_term(t: Term) -> str:
 
 
 def render_literal(lit: Literal) -> str:
-    return _atom_text(lit, _own_name)
+    return _term_text(lit.term, _own_name)
 
 
 def literal_order(lit: Literal) -> tuple[bool, str]:
@@ -225,8 +219,8 @@ def _render_in_order(literals: list[Literal], name: Callable[[Var], str]) -> str
     """Render with literals in the given order: positives first as the head
     part, negatives as the body. Non-definite clauses get a display-only
     form ('h1 ; h2 :- b') that the grammar deliberately rejects."""
-    head_txt = " ; ".join(_atom_text(l, name) for l in literals if l.positive)
-    body_txt = ", ".join(_atom_text(l, name) for l in literals if not l.positive)
+    head_txt = " ; ".join(_term_text(l.term, name) for l in literals if l.positive)
+    body_txt = ", ".join(_term_text(l.term, name) for l in literals if not l.positive)
     if not body_txt:
         return f"{head_txt}."
     if not head_txt:

@@ -38,8 +38,7 @@ def random_atom(rng: random.Random, sig, max_depth: int, ground: bool = True) ->
     name, arity = rng.choice(predicates)
     return Literal(
         True,
-        name,
-        tuple(random_term(rng, functors, max_depth, ground) for _ in range(arity)),
+        Fn(name, tuple(random_term(rng, functors, max_depth, ground) for _ in range(arity))),
     )
 
 
@@ -74,7 +73,7 @@ def random_simple_clause(rng: random.Random, sig, max_depth: int, max_body: int 
     for _ in range(rng.randint(0, max_body)):
         name, arity = rng.choice(predicates)
         args = tuple(rng.choice(pool) for _ in range(arity))
-        body.append(Literal(False, name, args))
+        body.append(Literal(False, Fn(name, args)))
     return Clause([head] + body)
 
 

@@ -368,6 +368,28 @@ def test_depth_bound_below_one_is_a_usage_error(tmp_path, capsys, argv, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize(
+    "argv,target",
+    [
+        (("learn", "--system", "golem", "--examples", "{stream}", "--trace", "{target}"),
+         "missing/t.jsonl"),
+        (("analyze", "--trace", "{trace}", "--report", "{target}"), "missing/r.json"),
+        (("reproduce", "case-1", "--outdir", "{target}"), "file/sub"),
+    ],
+    ids=["learn-trace", "analyze-report", "reproduce-outdir"],
+)
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv, target):
+    stream = tmp_path / "stream.pl"
+    stream.write_text("p(0).\n")
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"stage": 0, "example": "p(0)", "action": "extended", "program": "p(0)."}\n')
+    (tmp_path / "file").write_text("")
+    target = tmp_path / target
+    code, out, err = run(capsys, *(a.format(stream=stream, trace=trace, target=target) for a in argv))
+    assert code == 2 and not out
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot write {target}: ")
+
+
 def test_deeply_nested_input_is_a_parse_error(tmp_path, capsys):
     deep = "s(" * 1500 + "0" + ")" * 1500
     code, _, err = run(capsys, "distance", deep, "0")

@@ -15,7 +15,6 @@ from hornlearn import (
     parse_program,
     render_program,
     run_stream,
-    window_limits,
 )
 from hornlearn.cases import even_ascending_stream, even_atom, even_reordered_stream
 from hornlearn.limits import default_window
@@ -44,6 +43,20 @@ def record(stage, program, example=None):
 # --- window limits -------------------------------------------------------------
 
 
+def window_limits(snapshots, w):
+    """Oracle: liminf and limsup over the last w snapshots, one clause per
+    canonical text, as convergence_report reads its window."""
+    if not 1 <= w <= len(snapshots):
+        raise ValueError(f"window {w} does not fit {len(snapshots)} snapshots")
+    windows = [{render_clause(c): c for c in p} for p in snapshots[-w:]]
+    limsup = {}
+    for window in windows:
+        for text, c in window.items():
+            limsup.setdefault(text, c)
+    liminf = set.intersection(*(set(window) for window in windows))
+    return frozenset(limsup[text] for text in liminf), frozenset(limsup.values())
+
+
 def test_constant_sequence_liminf_equals_limsup():
     snaps = [prog(A), prog(A), prog(A)]
     liminf, limsup = window_limits(snaps, 2)
@@ -61,6 +74,8 @@ def test_alternating_sequence_splits():
 def test_window_must_fit_prefix():
     with pytest.raises(ValueError):
         window_limits([prog(A)], 2)
+    with pytest.raises(ValueError, match="window 2 does not fit a prefix of 1"):
+        convergence_report([record(0, prog(A))], set(), 2, 5)
 
 
 def test_liminf_subset_of_limsup_and_window_monotonicity():
@@ -77,11 +92,17 @@ def test_liminf_subset_of_limsup_and_window_monotonicity():
 
 def test_reordered_trace_window_limits():
     stream = even_reordered_stream(12)
-    records = run_stream(stream, config_for_stream(stream, System.GOLEM))
+    cfg = config_for_stream(stream, System.GOLEM)
+    records = run_stream(stream, cfg)
     liminf, limsup = window_limits([r.program for r in records], 4)
     rule = parse_program("p(X) :- p(s(s(X))).")
     assert {render_clause(c) for c in liminf} == {render_clause(next(iter(rule)))}
     assert len(limsup) == 5  # the rule plus four rotating unit facts
+    # The report reads the same window: liminf is its candidate limit and
+    # the limsup texts are its occurrence keys.
+    report = convergence_report(records, frozenset(stream), 4, cfg.depth_bound)
+    assert {render_clause(c) for c in report.candidate_limit} == {render_clause(c) for c in liminf}
+    assert set(report.per_clause_occurrences) == {render_clause(c) for c in limsup}
 
 
 # --- verdicts ------------------------------------------------------------------

@@ -12,14 +12,13 @@ from hornlearn import (
     Var,
     apply_to_clause,
     atom,
-    depth,
     fact,
     neg,
     parse_program,
     subterms,
 )
 from hornlearn.cases import even_atom, numeral
-from hornlearn.logic import _interned, is_ground_term, literal_subterms, term_variables
+from hornlearn.logic import _interned, literal_subterms, term_variables
 
 
 def s(t):
@@ -30,10 +29,10 @@ ZERO = Fn("0")
 
 
 def test_depth_counts_nodes():
-    assert depth(ZERO) == 1
-    assert depth(Var("X")) == 1
-    assert depth(s(ZERO)) == 2
-    assert depth(Fn("f", (s(ZERO), ZERO))) == 3
+    assert ZERO.depth == 1
+    assert Var("X").depth == 1
+    assert s(ZERO).depth == 2
+    assert Fn("f", (s(ZERO), ZERO)).depth == 3
 
 
 def test_subterms_of_constant():
@@ -105,7 +104,7 @@ def test_stream_cumulative_view_is_increasing():
 def test_numeral_builder():
     assert numeral(0) == ZERO
     assert numeral(2) == s(s(ZERO))
-    assert depth(numeral(4)) == 5
+    assert numeral(4).depth == 5
 
 
 def test_fact_requires_ground_for_is_fact():
@@ -125,10 +124,10 @@ def test_deep_terms_need_no_recursion():
     t, u = chain(ZERO), chain(ZERO)
     assert t is u and t == u and hash(t) == hash(u)
     assert t != chain(s(ZERO))
-    assert depth(t) == 10_001 and is_ground_term(t)
+    assert t.depth == 10_001 and t.ground
     assert len(subterms(t)) == 10_001 and ZERO in subterms(t)
     x = chain(Var("X"))
-    assert depth(x) == 10_001 and not is_ground_term(x)
+    assert x.depth == 10_001 and not x.ground
     assert term_variables(x) == {Var("X")}
 
 
@@ -158,4 +157,4 @@ def test_unpickling_an_unreferenced_term_interns_it_again():
     assert ("only_here", ()) not in _interned
     t = pickle.loads(data)
     assert t is Fn("pickled", (Fn("only_here"),))
-    assert depth(t) == 2 and is_ground_term(t)
+    assert t.depth == 2 and t.ground

@@ -108,7 +108,7 @@ def test_distance_equals_the_fraction_recursion(sig, max_depth):
         l = random_literal(rng, sig, max_depth, ground)
         m = random_literal(rng, sig, max_depth, ground)
         if rng.random() < 0.7:
-            m = Literal(l.positive, l.predicate, tuple(perturbed(rng, a, functors, ground) for a in l.args))
+            m = Literal(l.positive, Fn(l.predicate, tuple(perturbed(rng, a, functors, ground) for a in l.args)))
         assert literal_distance(l, m) == oracle_literal_distance(l, m)
         values |= {term_distance(t, s_), literal_distance(l, m)}
     assert len(values - {0, 1}) >= 3

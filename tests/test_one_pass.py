@@ -286,7 +286,7 @@ def test_priority_sorted_equals_selection_oracle(rng, sig, max_depth, depth_boun
     for _ in range(400):
         pool = [random_atom(rng, sig, max_depth) for _ in range(5)]
         # Same subterms under another predicate: equivalent, not equal.
-        pool += [Literal(True, "r", a.args) for a in pool[:2]]
+        pool += [Literal(True, Fn("r", a.args)) for a in pool[:2]]
         pending = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
         got = _priority_sorted(pending)
         assert got == oracle_priority_sorted(pending), pending
@@ -306,12 +306,12 @@ def test_priority_sorted_equals_selection_oracle_on_96_descending_arrivals():
     # least arrival comes last, and taking one frees an earlier arrival
     # than the other chain's ready one.
     pending = [
-        Literal(True, "p", (numeral(k, base),))
+        Literal(True, Fn("p", (numeral(k, base),)))
         for k in reversed(range(48))
         for base in (Fn("0"), Fn("a"))
     ]
     # Equal-priority twins under another predicate keep their arrival order.
-    pending += [Literal(True, "q", x.args) for x in pending[::5]]
+    pending += [Literal(True, Fn("q", x.args)) for x in pending[::5]]
     got = _priority_sorted(pending)
     assert got == oracle_priority_sorted(pending)
-    assert got[:3] == [Literal(True, "p", (numeral(k),)) for k in range(3)]
+    assert got[:3] == [Literal(True, Fn("p", (numeral(k),))) for k in range(3)]

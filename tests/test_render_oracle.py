@@ -162,7 +162,7 @@ def twin_clause(rng: random.Random, sig) -> Clause:
     for _ in range(rng.randint(2, 6)):
         positive, name, wrapped = rng.choice(skeletons)
         args = tuple(Fn("s", (rng.choice(VAR_POOL),)) if w else rng.choice(VAR_POOL) for w in wrapped)
-        literals.append(Literal(positive, name, args))
+        literals.append(Literal(positive, Fn(name, args)))
     return Clause(literals)
 
 

@@ -1,28 +1,30 @@
 """Differential tests: the hash-consed term core against the frozen
 dataclasses and recursive walks it replaced (structural hash and equality,
-depth, groundness, subterm and variable sets, substitution, matching), kept
-here as oracles only."""
+depth, groundness, subterm and variable sets, substitution, matching), and
+literal matching and lgg, which walk the atom as one term, against the loops
+over the arguments they replaced; all kept here as oracles only."""
 
 from __future__ import annotations
 
 import gc
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
 
-from hornlearn import Fn, Var
+from hornlearn import Fn, Literal, PairTable, Var, lgg_literals, lgg_terms
 from hornlearn.logic import (
     _interned,
+    apply_to_literal,
     apply_to_term,
-    depth,
-    is_ground_term,
+    is_ground_literal,
     subterms,
     term_variables,
 )
-from hornlearn.subsumption import match_terms
+from hornlearn.subsumption import match_literals, match_terms
 
-from conftest import SIG_BINARY, SIG_UNARY, VAR_POOL, random_term
+from conftest import SIG_BINARY, SIG_UNARY, VAR_POOL, random_literal, random_term
 
 SIGNATURES = [(SIG_UNARY, 6), (SIG_BINARY, 4)]
 
@@ -108,6 +110,27 @@ def oracle_match_terms(pattern, target, theta):
     return theta
 
 
+def oracle_match_literals(pattern, target, theta):
+    """Literal matching as a loop over the arguments."""
+    if pattern.positive != target.positive or pattern.pred_key != target.pred_key:
+        return None
+    for pa, ta in zip(pattern.args, target.args):
+        next_theta = match_terms(pa, ta, theta)
+        if next_theta is None:
+            return None
+        theta = next_theta
+    return theta
+
+
+def oracle_lgg_literals(l, m, table):
+    """Literal lgg as a loop over the arguments."""
+    if l.positive != m.positive or l.pred_key != m.pred_key:
+        return None
+    return Literal(
+        l.positive, Fn(l.predicate, tuple(lgg_terms(a, b, table) for a, b in zip(l.args, m.args)))
+    )
+
+
 def random_terms(rng: random.Random, functors, max_depth: int, n: int) -> list:
     return [random_term(rng, functors, rng.randint(1, max_depth), ground=rng.random() < 0.5) for _ in range(n)]
 
@@ -130,14 +153,14 @@ def test_term_attributes_equal_the_recursive_oracle(sig, max_depth):
         o = to_oracle(t)
         assert hash(t) == hash(o)
         assert repr(t) == repr(o).replace("OracleFn", "Fn").replace("OracleVar", "Var")
-        assert depth(t) == oracle_depth(o)
-        assert is_ground_term(t) == oracle_is_ground(o)
+        assert t.depth == oracle_depth(o)
+        assert t.ground == oracle_is_ground(o)
         assert {to_oracle(u) for u in subterms(t)} == oracle_subterms(o)
         assert {to_oracle(v) for v in term_variables(t)} == oracle_variables(o)
         if isinstance(t, Fn):
             # Asked again: the set stored on the node.
             assert subterms(t) is subterms(t)
-        grounds += is_ground_term(t)
+        grounds += t.ground
     assert 0 < grounds < len(terms)
 
 
@@ -169,7 +192,7 @@ def test_substitution_equals_the_recursive_oracle(sig, max_depth):
         got = apply_to_term(t, theta)
         want = oracle_apply(to_oracle(t), {to_oracle(v): to_oracle(s) for v, s in theta.items()})
         assert to_oracle(got) == want
-        if is_ground_term(t):
+        if t.ground:
             assert got is t
         changed += got is not t
     assert changed > 0
@@ -192,8 +215,49 @@ def test_match_terms_equals_the_structural_oracle(sig, max_depth):
         if got is None:
             outcomes["miss"] += 1
         else:
-            outcomes["ground hit" if is_ground_term(pattern) else "hit"] += 1
+            outcomes["ground hit" if pattern.ground else "hit"] += 1
     assert all(outcomes.values()), outcomes
+
+
+@pytest.mark.parametrize("sig,max_depth", SIGNATURES)
+def test_match_literals_equals_the_argument_loop(sig, max_depth):
+    rng = random.Random(17)
+    functors = sig[0]
+    outcomes: Counter = Counter()
+    for _ in range(600):
+        pattern = random_literal(rng, sig, rng.randint(1, max_depth), ground=rng.random() < 0.3)
+        if rng.random() < 0.5:
+            target = apply_to_literal(pattern, random_theta(rng, functors, 3))
+        else:
+            target = random_literal(rng, sig, max_depth, ground=rng.random() < 0.7)
+        theta = random_theta(rng, functors, 2) if rng.random() < 0.3 else {}
+        got = match_literals(pattern, target, theta)
+        assert got == oracle_match_literals(pattern, target, theta), (pattern, target, theta)
+        if got is None:
+            outcomes["sign miss" if pattern.positive != target.positive else "miss"] += 1
+        else:
+            outcomes["ground hit" if is_ground_literal(pattern) else "hit"] += 1
+    assert len(outcomes) == 4 and min(outcomes.values()) > 10, outcomes
+
+
+@pytest.mark.parametrize("sig,max_depth", SIGNATURES)
+def test_lgg_literals_equals_the_argument_loop(sig, max_depth):
+    rng = random.Random(19)
+    # One table per side across every pair, so a pair met again must get
+    # the variable it got the first time.
+    table, oracle_table = PairTable(), PairTable()
+    outcomes: Counter = Counter()
+    for _ in range(600):
+        l = random_literal(rng, sig, max_depth, ground=rng.random() < 0.7)
+        m = random_literal(rng, sig, max_depth, ground=rng.random() < 0.7)
+        if m.positive != l.positive and rng.random() < 0.7:
+            m = m.negated()
+        got = lgg_literals(l, m, table)
+        assert got == oracle_lgg_literals(l, m, oracle_table), (l, m)
+        outcomes["undefined" if got is None else "equal" if l == m else "generalized"] += 1
+    assert list(table.pairs.items()) == list(oracle_table.pairs.items())
+    assert len(outcomes) == 3 and min(outcomes.values()) > 10, outcomes
+    assert len(table.pairs) > 20
 
 
 def test_intern_table_drops_unreferenced_terms():
