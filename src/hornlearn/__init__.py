@@ -8,13 +8,11 @@ from .generalize import (
     lgg_clauses,
     lgg_literals,
     lgg_terms,
-    reduce_program,
     saturate,
 )
 from .learner import (
     Action,
     LearnerConfig,
-    StageBudgetExceeded,
     StageRecord,
     System,
     config_for_stream,
@@ -58,6 +56,7 @@ from .semantics import (
     default_depth_bound,
     is_covered,
     least_model_bounded,
+    reduce_program,
 )
 from .subsumption import clause_variant_equal, program_variant_equal, reduce_clause, theta_subsumes
 from .syntax import (

@@ -21,14 +21,12 @@ from pathlib import Path
 from .cases import even_ascending_stream, even_reordered_stream
 from .generalize import SaturationPolicy, lgg_clauses, saturate
 from .learner import (
-    DEFAULT_MAX_STAGES,
-    StageBudgetExceeded,
     StageRecord,
     System,
     config_for_stream,
     run_stream,
 )
-from .limits import Verdict, convergence_report, default_window
+from .limits import LimitReport, Verdict, convergence_report, default_window
 from .logic import ExampleStream, HornProgram, literal_depth
 from .metric import priority_precedes, term_distance
 from .semantics import default_depth_bound, is_covered, least_model_bounded
@@ -49,6 +47,8 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
+
+DEFAULT_MAX_STAGES = 200
 
 
 def _read(path: str) -> str:
@@ -128,21 +128,23 @@ def _write_trace(records: list[StageRecord], path: str) -> list[str]:
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
+    if args.stages < 1:
+        raise ValueError(f"stage budget must be at least 1, got {args.stages}")
     stream = parse_example_stream(_read(args.examples))
     background = parse_program(_read(args.background)) if args.background else HornProgram()
+    # The bound comes from the whole file, so the budget changes no stage it admits.
     cfg = config_for_stream(
-        stream, System(args.system), SaturationPolicy(args.policy), args.depth, args.stages,
-        background,
+        stream, System(args.system), SaturationPolicy(args.policy), args.depth,
+        background=background,
     )
-    try:
-        records = run_stream(stream, cfg, background)
-    except StageBudgetExceeded as exc:
-        if args.trace:
-            _write_trace(exc.records, args.trace)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
+    records = run_stream(ExampleStream(stream.arrivals[: args.stages]), cfg, background)
     if args.trace:
         _write_trace(records, args.trace)
+    remaining = len(stream) - len(records)
+    if remaining:
+        print(f"error: stage budget exhausted with {remaining} arrival(s) unprocessed",
+              file=sys.stderr)
+        return EXIT_ASSERTION
     final = records[-1]
     print(f"% {len(records)} stage(s), depth bound {cfg.depth_bound}")
     print(render_program(final.program))
@@ -154,22 +156,26 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not records:
         print("error: trace file holds no stages", file=sys.stderr)
         return EXIT_USAGE
-    w = args.window if args.window is not None else default_window(len(records))
-    streamed = frozenset(rec.example for rec in records)
-    depth = args.depth
-    if depth is None:
-        # learn's rule, with the last program standing in for the background
-        # (the trace does not record it): the two bounds agree unless
-        # reduction dropped the deepest background clause.
-        depth = default_depth_bound(
-            max(literal_depth(e) for e in streamed), records[-1].program
-        )
-    report = convergence_report(records, streamed, w, depth)
-    text = report.to_json()
+    text = _analyze(records, args.window, args.depth).to_json()
     if args.report:
         Path(args.report).write_text(text + "\n", encoding="utf-8")
     print(text)
     return EXIT_OK
+
+
+def _analyze(records: list[StageRecord], window: int | None, depth: int | None) -> LimitReport:
+    """The limit report over every streamed example. The window defaults
+    to default_window; the bound to learn's rule, with the last program
+    standing in for the background (the trace does not record it): the two
+    bounds agree unless reduction dropped the deepest background clause."""
+    streamed = frozenset(rec.example for rec in records)
+    if window is None:
+        window = default_window(len(records))
+    if depth is None:
+        depth = default_depth_bound(
+            max(literal_depth(e) for e in streamed), records[-1].program
+        )
+    return convergence_report(records, streamed, window, depth)
 
 
 def _load_trace(path: str) -> list[StageRecord]:
@@ -216,12 +222,10 @@ def _fold(outdir: Path, name: str, stream: ExampleStream, system: System,
           window: int | None = None, depth: int | None = None):
     """Run the learner over the stream and write <name>.trace.jsonl and
     <name>.report.json; returns the trace lines, the records and the report."""
-    cfg = config_for_stream(stream, system, max_stages=len(stream))
+    cfg = config_for_stream(stream, system)
     records = run_stream(stream, cfg)
     lines = _write_trace(records, str(outdir / f"{name}.trace.jsonl"))
-    w = window or default_window(len(records))
-    streamed = frozenset(rec.example for rec in records)
-    report = convergence_report(records, streamed, w, depth or cfg.depth_bound)
+    report = _analyze(records, window, depth or cfg.depth_bound)
     (outdir / f"{name}.report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     return lines, records, report
 

@@ -1,6 +1,6 @@
 """
 Least general generalization over terms, literals, clauses and clause sets;
-saturation of an example against background knowledge; program reduction.
+saturation of an example against background knowledge.
 
 The lgg of two terms recurses argumentwise while root symbols agree and maps
 each mismatched ordered pair (t, s) to one fresh variable. The pair table is
@@ -25,8 +25,8 @@ from .logic import (
     is_ground_literal,
 )
 from .metric import clause_distance
-from .semantics import _model_entry, _rekey, examples_model, least_model_bounded
-from .subsumption import reduce_clause, theta_subsumes
+from .semantics import examples_model
+from .subsumption import reduce_clause
 from .syntax import literal_order, render_clause, render_literal
 
 
@@ -38,9 +38,9 @@ class PairTable:
     an existing variable.
     """
 
-    def __init__(self, reserved: set[str] | frozenset[str] = frozenset()):
+    def __init__(self):
         self.pairs: dict[tuple[Term, Term], Var] = {}
-        self._reserved = set(reserved)
+        self._reserved: set[str] = set()
         self._next = 0
 
     def reserve(self, names: set[str] | frozenset[str]) -> None:
@@ -177,52 +177,3 @@ def saturate(
         if not clause.is_tautology():
             clauses.add(clause)
     return frozenset(clauses)
-
-
-def reduce_program(p: HornProgram, depth_bound: int) -> HornProgram:
-    """Removal of redundant clauses: a clause goes when another remaining
-    clause theta-subsumes it, or when it is a ground fact derivable from the
-    remaining program's bounded model. Scanning is largest clause first with
-    canonical-text tiebreak, so the result is deterministic. One pass is a
-    fixpoint: with the signature pinned, both tests are monotone in the
-    remaining set, so a clause kept once stays kept. Neither removal changes
-    the bounded model, so the result has p's.
-
-    A support filter spares most fact tests their model. At the first fact
-    test the kept clauses K give M(K) and its support set, which the model
-    slot records: the heads of one T_P step of K's clauses other than
-    ground facts over M(K). A fact f whose head is outside the support set
-    is kept without a model of rest = K - {f}. That is sound: T_P is
-    monotone and the signature is pinned, so M(rest) ⊆ M(K); a head in
-    M(rest) is the head of an instance of a clause of rest whose body holds
-    in M(rest); and that clause is not a ground fact, whose only head is
-    itself. Later rests only shrink, so the set stays valid, and so does any
-    superset. A head inside the set is still decided by the exact test, the
-    bounded model of rest.
-
-    For a range-restricted p, M(K) = M(p), so p's model and support set (a
-    superset of K's) serve, and afterwards the slot keeps p's model as the
-    result's. A p with an unbound head variable keeps M(K): grounding a
-    clause subsumed before the first fact test may exceed the universe
-    cap."""
-    clauses = set(p.clauses)
-    # Removals must not shrink the term language; only a clause with an
-    # unbound head variable grounds over it.
-    signature = None if p.range_restricted else p.signature()
-    entry = _model_entry(p, depth_bound, None) if p.range_restricted else None
-    support = entry.support if entry else None
-    for c in sorted(clauses, key=lambda c: (-len(c.literals), render_clause(c))):
-        rest = clauses - {c}
-        if any(theta_subsumes(d, c)[0] for d in rest):
-            clauses = rest
-        elif c.is_fact and rest:
-            if support is None:
-                support = _model_entry(HornProgram(clauses), depth_bound, signature).support
-            if c.head in support:
-                model = least_model_bounded(HornProgram(rest), depth_bound, signature)
-                if c.head in model.atoms:
-                    clauses = rest
-    result = HornProgram(clauses)
-    if entry is not None:
-        _rekey(entry, result)
-    return result

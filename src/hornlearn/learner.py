@@ -8,11 +8,12 @@ Two drivers share the same machinery:
   saturation (relative least general generalization), otherwise adopt the
   saturation clause itself; keep the arrival as a fact whenever the learned
   clauses do not cover it; reduce. A covered arrival normally leaves the
-  program untouched, with one forgetful exception: it replaces a retained
-  ground unit fact that it is strictly priority-below (all of the arrival's
-  subterms occur in the fact). That fact rotation is exactly what the
-  reordered-stream reference trace exhibits, and it is what makes this
-  learner order-sensitive.
+  program untouched, with one forgetful exception: it replaces every other
+  retained ground unit fact that it is priority-below (all of the arrival's
+  subterms occur in the fact), so an arrival of equal priority, such as
+  p(a, b) against p(b, a), rotates the fact too. That fact rotation is
+  exactly what the reordered-stream reference trace exhibits, and it is
+  what makes this learner order-sensitive.
 
 * pgolem_step: the prioritized variant. A covered arrival never changes the
   program. An arrival that strictly precedes some earlier arrival (its
@@ -39,7 +40,6 @@ from heapq import heappop, heappush
 from .generalize import (
     SaturationPolicy,
     lgg_clause_sets,
-    reduce_program,
     saturate,
 )
 from .logic import (
@@ -53,10 +53,8 @@ from .logic import (
     literal_subterms,
 )
 from .metric import is_simple_program, priority_precedes
-from .semantics import default_depth_bound, is_covered
+from .semantics import default_depth_bound, is_covered, reduce_program
 from .syntax import parse_atom, parse_program, render_literal, render_program
-
-DEFAULT_MAX_STAGES = 200
 
 
 class System(Enum):
@@ -66,10 +64,9 @@ class System(Enum):
 
 @dataclass(frozen=True)
 class LearnerConfig:
+    depth_bound: int
     system: System = System.GOLEM
     policy: SaturationPolicy = SaturationPolicy.PAPER_TRACE
-    depth_bound: int = 16
-    max_stages: int = DEFAULT_MAX_STAGES
 
 
 class Action(Enum):
@@ -138,17 +135,6 @@ class StageRecord:
         )
 
 
-class StageBudgetExceeded(Exception):
-    """More arrivals than the stage budget; carries the partial trace."""
-
-    def __init__(self, records: list[StageRecord], remaining: int):
-        super().__init__(
-            f"stage budget exhausted with {remaining} arrival(s) unprocessed"
-        )
-        self.records = records
-        self.remaining = remaining
-
-
 def _keep_learned(clauses: frozenset[Clause]) -> set[Clause]:
     return {c for c in clauses if c.is_definite and c.range_restricted}
 
@@ -206,8 +192,9 @@ def golem_step(
             if f.head != e and priority_precedes(e, f.head)
         ]
         if swap_out:
-            # Forgetful fact rotation: a covered arrival that is strictly
-            # priority-below a retained fact replaces it.
+            # Forgetful fact rotation: a covered arrival replaces every
+            # other retained fact it is priority-below, equal priority
+            # included.
             program = reduce_program(
                 current.without_clauses(swap_out).with_clauses((fact(e),)),
                 cfg.depth_bound,
@@ -316,8 +303,6 @@ def run_stream(
         )
     records: list[StageRecord] = []
     for stage, e in enumerate(stream):
-        if stage >= cfg.max_stages:
-            raise StageBudgetExceeded(records, len(stream) - stage)
         if cfg.system is System.GOLEM:
             current = records[-1].program if records else background
             program, action = golem_step(current, e, cfg)
@@ -342,13 +327,10 @@ def config_for_stream(
     system: System,
     policy: SaturationPolicy = SaturationPolicy.PAPER_TRACE,
     depth_bound: int | None = None,
-    max_stages: int = DEFAULT_MAX_STAGES,
     background: Iterable[Clause] = (),
 ) -> LearnerConfig:
     """The default depth bound counts the background that run_stream will
     start from, so no background clause falls outside the bounded base."""
     if depth_bound is None:
         depth_bound = default_depth_bound(stream.max_depth(), background)
-    return LearnerConfig(
-        system=system, policy=policy, depth_bound=depth_bound, max_stages=max_stages
-    )
+    return LearnerConfig(depth_bound=depth_bound, system=system, policy=policy)

@@ -1,6 +1,7 @@
 """
 Bounded Herbrand semantics: the term universe up to a depth bound, the
-immediate-consequence step, the least-model fixpoint and coverage checks.
+immediate-consequence step, the least-model fixpoint, coverage checks and
+program reduction.
 
 The true Herbrand universe is infinite; everything here is its depth-bounded
 fragment. For simple programs (every body subterm occurs in the head) the
@@ -28,13 +29,21 @@ key is a hit. A query that adds clauses to the key's program, under the same
 bound and universe, is a warm start (Gupta, Mumick & Subrahmanian, SIGMOD
 1993): T_P is monotone, so the fixpoint may start from the stored model,
 firing the added clauses over its atoms and then every rule on what they
-add. Anything else is built from empty. The fixpoint also records the
-support set, one T_P step over the model of the clauses other than ground
-facts (dropped heads included), for `generalize.reduce_program`, which then
-re-keys the slot to its result, a program with the same model. The slot is
-one immutable tuple, read once and replaced whole, so concurrent callers
-see an old entry or a new one, each true of its key. It lives only as long
-as the process.
+add. Anything else is built from empty. The slot is one immutable tuple,
+read once and replaced whole, so concurrent callers see an old entry or a
+new one, each true of its key. It lives only as long as the process.
+
+The fixpoint also records the support set: the heads of one T_P step of the
+program's clauses other than ground facts over its model, dropped heads
+included. It spares most of `reduce_program`'s fact tests their model. With
+K the clauses kept so far, a fact f whose head is outside K's support set is
+kept without a model of rest = K - {f}. That is sound: T_P is monotone and
+the signature is pinned, so M(rest) ⊆ M(K); a head in M(rest) is the head of
+an instance of a clause of rest whose body holds in M(rest); and that clause
+is not a ground fact, whose only head is itself. Later rests only shrink, so
+the set stays valid, and so does any superset. `reduce_program`'s result
+has its input's model, so it re-keys the slot to the result, keeping the
+input's support set: a superset of the result's filters as soundly.
 
 Clauses that are not range-restricted (a head variable missing from the
 body, as in the unit clause r(Y).) are grounded by enumerating the bounded
@@ -63,8 +72,8 @@ from .logic import (
     literal_depth,
     term_signature,
 )
-from .subsumption import substitutions
-from .syntax import render_literal
+from .subsumption import substitutions, theta_subsumes
+from .syntax import render_clause, render_literal
 
 _UNIVERSE_CAP = 200_000
 
@@ -262,12 +271,43 @@ def _fixpoint(
         old, new, clauses = known, frozenset(fresh), p.rules
 
 
-def _rekey(entry: _Entry, p: HornProgram) -> None:
-    """Store entry's model as p's, which the caller knows to be the same.
-    The support set stays entry's, a superset of p's, which filters as
-    soundly."""
+def reduce_program(p: HornProgram, depth_bound: int) -> HornProgram:
+    """Removal of redundant clauses: a clause goes when another remaining
+    clause theta-subsumes it, or when it is a ground fact derivable from the
+    remaining program's bounded model. Scanning is largest clause first with
+    canonical-text tiebreak, so the result is deterministic. One pass is a
+    fixpoint: with the signature pinned, both tests are monotone in the
+    remaining set, so a clause kept once stays kept. Neither removal changes
+    the bounded model, so the result has p's.
+
+    The support set (module docstring) of the clauses K kept at the first
+    fact test filters the fact tests; a head inside it is still decided by the
+    exact test, the bounded model of rest. For a range-restricted p,
+    M(K) = M(p), so p's model and support set (a superset of K's) serve. A
+    p with an unbound head variable keeps M(K): grounding a clause subsumed
+    before the first fact test may exceed the universe cap."""
     global _slot
-    _slot = entry._replace(program=p)
+    clauses = set(p.clauses)
+    # Removals must not shrink the term language; only a clause with an
+    # unbound head variable grounds over it.
+    signature = None if p.range_restricted else p.signature()
+    entry = _model_entry(p, depth_bound, None) if p.range_restricted else None
+    support = entry.support if entry else None
+    for c in sorted(clauses, key=lambda c: (-len(c.literals), render_clause(c))):
+        rest = clauses - {c}
+        if any(theta_subsumes(d, c)[0] for d in rest):
+            clauses = rest
+        elif c.is_fact and rest:
+            if support is None:
+                support = _model_entry(HornProgram(clauses), depth_bound, signature).support
+            if c.head in support:
+                model = least_model_bounded(HornProgram(rest), depth_bound, signature)
+                if c.head in model.atoms:
+                    clauses = rest
+    result = HornProgram(clauses)
+    if entry is not None:
+        _slot = entry._replace(program=result)
+    return result
 
 
 def covers(

@@ -210,8 +210,38 @@ def test_learn_stage_budget_exceeded(tmp_path, capsys):
         "--stages", "2", "--trace", str(trace),
     )
     assert code == 1
-    assert "budget" in err
+    assert err == "error: stage budget exhausted with 1 arrival(s) unprocessed\n"
     assert len(trace.read_text().strip().splitlines()) == 2
+
+
+@pytest.mark.parametrize("stages", ["0", "-1"])
+def test_learn_rejects_a_stage_budget_below_1(tmp_path, capsys, stages):
+    stream = tmp_path / "stream.pl"
+    stream.write_text("p(0).\np(s(s(0))).\np(s(s(s(s(0))))).\n")
+    trace = tmp_path / "trace.jsonl"
+    code, out, err = run(
+        capsys,
+        "learn", "--system", "golem", "--examples", str(stream),
+        "--stages", stages, "--trace", str(trace),
+    )
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not trace.exists()
+
+
+def test_learn_budget_leaves_unread_an_arrival_deeper_than_the_depth(tmp_path, capsys):
+    # p(s^6(0)) has depth 7: past --depth 5, but past the budget too.
+    stream = tmp_path / "stream.pl"
+    stream.write_text("p(0).\np(s(s(0))).\np(s(s(s(s(s(s(0))))))).\n")
+    trace = tmp_path / "trace.jsonl"
+    argv = ["learn", "--system", "golem", "--examples", str(stream), "--depth", "5"]
+    code, _, err = run(capsys, *argv, "--stages", "2", "--trace", str(trace))
+    assert code == 1
+    assert err == "error: stage budget exhausted with 1 arrival(s) unprocessed\n"
+    assert len(trace.read_text().strip().splitlines()) == 2
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "below the deepest stream example (7)" in err
 
 
 def test_reproduce_all_cases(tmp_path, capsys):

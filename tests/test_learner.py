@@ -8,9 +8,9 @@ from hornlearn import (
     HornProgram,
     LearnerConfig,
     SaturationPolicy,
-    StageBudgetExceeded,
     System,
     config_for_stream,
+    parse_atom,
     parse_program,
     render_program,
     run_stream,
@@ -188,6 +188,21 @@ def test_golem_step_covered_swaps_priority_lower_fact():
     assert render_program(program) == RULE_DOWN + "\n" + fact_text(8)
 
 
+def test_golem_rotates_a_fact_of_equal_priority():
+    # p(a, b) and p(b, a) precede each other, so each covered arrival swaps
+    # out the retained fact for itself.
+    background = parse_program("p(b, a).\np(X, Y) :- p(Y, X).")
+    stream = ExampleStream(parse_atom(a) for a in ("p(a, b)", "p(b, a)", "p(a, b)"))
+    cfg = config_for_stream(stream, System.GOLEM, background=background)
+    records = run_stream(stream, cfg, background)
+    assert [r.action for r in records] == [Action.COVERED] * 3
+    assert [render_program(r.program) for r in records] == [
+        "p(X0, X1) :- p(X1, X0).\np(a, b).",
+        "p(X0, X1) :- p(X1, X0).\np(b, a).",
+        "p(X0, X1) :- p(X1, X0).\np(a, b).",
+    ]
+
+
 def test_pgolem_step_no_restart_without_priority_inversion():
     cfg = LearnerConfig(system=System.PRIORITIZED_GOLEM, depth_bound=12)
     records = run_stream(ExampleStream((even_atom(0), even_atom(2))), cfg)
@@ -219,12 +234,11 @@ def test_run_stream_rejects_shallow_depth_bound():
         run_stream(stream, LearnerConfig(depth_bound=3))
 
 
-def test_run_stream_stage_budget_carries_partial_trace():
-    stream = even_ascending_stream(6)
-    with pytest.raises(StageBudgetExceeded) as err:
-        run_stream(stream, LearnerConfig(depth_bound=20, max_stages=3))
-    assert len(err.value.records) == 3
-    assert err.value.remaining == 3
+def test_run_stream_folds_every_arrival_past_the_cli_budget():
+    # The stage budget is the command line's; the library folds it all.
+    stream = even_ascending_stream(250)
+    records = run_stream(stream, config_for_stream(stream, System.GOLEM))
+    assert [r.stage for r in records] == list(range(250))
 
 
 def test_traces_are_deterministic():

@@ -20,7 +20,6 @@ from hornlearn import (
     System,
     apply_to_clause,
     config_for_stream,
-    generalize,
     learner,
     parse_program,
     reduce_program,
@@ -182,7 +181,7 @@ def test_reduce_program_one_pass_equals_rescanning_oracle(
         models.append(args)
         return least_model_bounded(*args)
 
-    monkeypatch.setattr(generalize, "least_model_bounded", counted)
+    monkeypatch.setattr(semantics, "least_model_bounded", counted)
     removed = fallbacks = 0
     for _ in range(150):
         p = random_program(rng, sig, max_depth)
