@@ -51,11 +51,18 @@ EXIT_PARSE = 3
 DEFAULT_MAX_STAGES = 200
 
 
+class UnreadableInput(Exception):
+    """An input file that cannot be read as UTF-8 text; the message names
+    the path."""
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}", 0, 0) from exc
+        raise UnreadableInput(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise UnreadableInput(f"cannot read {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +393,16 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except UnreadableInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except RecursionError:  # the term walks recurse once per nesting level
         print("parse error: input nested too deeply", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:  # input reads are ParseErrors already (_read)
+    except OSError as exc:  # input reads are UnreadableInput already (_read)
         print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
               file=sys.stderr)
         return EXIT_USAGE

@@ -6,7 +6,7 @@ The term distance takes values in {0} ∪ {1/m}: 0 for equal terms, 1 when the
 root symbols differ, and d/(d+1) for equal roots where d is the maximum
 argument distance. Two terms are at distance at most 1/(m+1) exactly when
 their trees agree to depth m. Values are exact rationals, never floats, so
-the codomain is assertable exactly; the recursion runs on the integer m of
+the codomain is assertable exactly; the walk computes the integer m of
 1/m, and each distance builds one Fraction.
 
 Variables are treated as 0-arity symbols distinct from every functor and from
@@ -32,13 +32,25 @@ def term_distance(t: Term, s: Term) -> Distance:
 def _agreement(t: Term, s: Term) -> int:
     """The m with term_distance(t, s) = 1/m, for unequal terms: 1 when the
     roots differ, otherwise 1 plus the least agreement of an unequal
-    argument pair (the largest argument distance)."""
-    if isinstance(t, Var) or isinstance(s, Var):
-        # Distinct symbols (a variable never shares a root with anything else).
-        return 1
-    if t.functor != s.functor or len(t.args) != len(s.args):
-        return 1
-    return 1 + min(_agreement(a, b) for a, b in zip(t.args, s.args) if a != b)
+    argument pair (the largest argument distance). That is the depth of the
+    shallowest unequal pair whose roots differ, so the walk goes level by
+    level over the unequal pairs and stops there; no frame per level."""
+    level = [(t, s)]
+    m = 1
+    while True:
+        below = []
+        for a, b in level:
+            # A variable never shares a root with anything else.
+            if (
+                isinstance(a, Var)
+                or isinstance(b, Var)
+                or a.functor != b.functor
+                or len(a.args) != len(b.args)
+            ):
+                return m
+            below += [(x, y) for x, y in zip(a.args, b.args) if x is not y]
+        level = below
+        m += 1
 
 
 def literal_distance(l: Literal, m: Literal) -> Distance:
@@ -52,8 +64,11 @@ def clause_distance(c: Clause, d: Clause) -> Distance:
     distances. Rejects empty clauses."""
     if not c.literals or not d.literals:
         raise ValueError("clause_distance is undefined for empty clauses")
-    forward = max(min(literal_distance(l, m) for m in d.literals) for l in c.literals)
-    backward = max(min(literal_distance(l, m) for l in c.literals) for m in d.literals)
+    # One distance per literal pair: forward from the row minima, backward
+    # from the column minima.
+    rows = [[literal_distance(l, m) for m in d.literals] for l in c.literals]
+    forward = max(min(row) for row in rows)
+    backward = max(min(column) for column in zip(*rows))
     return max(forward, backward)
 
 

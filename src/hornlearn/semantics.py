@@ -280,6 +280,15 @@ def reduce_program(p: HornProgram, depth_bound: int) -> HornProgram:
     remaining set, so a clause kept once stays kept. Neither removal changes
     the bounded model, so the result has p's.
 
+    A candidate index, built once per call and dropped with it, picks the
+    clauses d that may subsume c. It holds each clause's (sign, predicate,
+    arity) key set and ground-literal set, and a dict from each ground
+    literal to the clauses holding it. A candidate shares a ground literal
+    with c or has none, its keys lie inside c's, and its ground literals all
+    occur in c: theta_subsumes' own rejection tests (theta fixes a ground
+    literal), so only the pairs it would search are asked, and a ground fact
+    is never paired with another.
+
     The support set (module docstring) of the clauses K kept at the first
     fact test filters the fact tests; a head inside it is still decided by the
     exact test, the bounded model of rest. For a range-restricted p,
@@ -293,17 +302,31 @@ def reduce_program(p: HornProgram, depth_bound: int) -> HornProgram:
     signature = None if p.range_restricted else p.signature()
     entry = _model_entry(p, depth_bound, None) if p.range_restricted else None
     support = entry.support if entry else None
+    keys = {c: {(l.positive, l.pred_key) for l in c.literals} for c in clauses}
+    ground = {c: {l for l in c.literals if is_ground_literal(l)} for c in clauses}
+    holders: dict[Literal, list[Clause]] = {}
+    for c in clauses:
+        for l in ground[c]:
+            holders.setdefault(l, []).append(c)
+    unground = [c for c in clauses if not ground[c]]
     for c in sorted(clauses, key=lambda c: (-len(c.literals), render_clause(c))):
-        rest = clauses - {c}
-        if any(theta_subsumes(d, c)[0] for d in rest):
-            clauses = rest
-        elif c.is_fact and rest:
+        candidates = {d for l in ground[c] for d in holders[l]}.union(unground)
+        if any(
+            d is not c
+            and d in clauses
+            and keys[d] <= keys[c]
+            and ground[d] <= c.literals
+            and theta_subsumes(d, c)[0]
+            for d in candidates
+        ):
+            clauses.remove(c)
+        elif c.is_fact and len(clauses) > 1:
             if support is None:
                 support = _model_entry(HornProgram(clauses), depth_bound, signature).support
             if c.head in support:
-                model = least_model_bounded(HornProgram(rest), depth_bound, signature)
-                if c.head in model.atoms:
-                    clauses = rest
+                rest = HornProgram(clauses - {c})
+                if c.head in least_model_bounded(rest, depth_bound, signature).atoms:
+                    clauses.remove(c)
     result = HornProgram(clauses)
     if entry is not None:
         _slot = entry._replace(program=result)

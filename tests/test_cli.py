@@ -158,9 +158,24 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "disjunctive heads" in err
 
 
+def assert_unreadable(capsys, path):
+    # Every unreadable input ends alike: exit 3 and one line naming the path,
+    # with no parse position.
+    code, out, err = run(capsys, "model", "--program", str(path), "--depth", "3")
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1, err
+    assert "line 0" not in err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
-    code, _, err = run(capsys, "model", "--program", str(tmp_path / "none.pl"), "--depth", "3")
-    assert code == 3
+    assert_unreadable(capsys, tmp_path / "none.pl")
+
+
+def test_directory_and_non_utf8_input_exit_code(tmp_path, capsys):
+    assert_unreadable(capsys, tmp_path)
+    binary = tmp_path / "latin1.pl"
+    binary.write_bytes(b"p(0).\n\xff\xfe.\n")
+    assert_unreadable(capsys, binary)
 
 
 def test_learn_then_analyze_pipeline(tmp_path, capsys):

@@ -114,6 +114,15 @@ def test_distance_equals_the_fraction_recursion(sig, max_depth):
     assert len(values - {0, 1}) >= 3
 
 
+def test_distances_walk_10000_deep_terms():
+    # The agreement walk keeps no frame per nesting level.
+    deep, other = numeral(10_000), numeral(10_000, Fn("a"))
+    assert term_distance(deep, other) == Fraction(1, 10_001)
+    c = Clause((atom("p", deep),))
+    d = Clause((atom("p", other), atom("p", numeral(9_999))))
+    assert clause_distance(c, d) == brute_force_hausdorff(c, d) == Fraction(1, 10_001)
+
+
 def test_distance_formatting():
     assert str(term_distance(numeral(2), numeral(3))) == "1/3"
     assert str(term_distance(ZERO, ZERO)) == "0"

@@ -1,8 +1,9 @@
 """Differential tests: the one-pass reductions, the backward restart scan,
-the one-read priority sort and the rejection tests of theta-subsumption
-against the slow versions they replaced, kept here as oracles only. The
-oracles share neither the rejection tests, the support filter nor the
-model slot of `reduce_program`."""
+the one-read priority sort, the rejection tests of theta-subsumption and
+the one-matrix clause distance against the slow versions they replaced,
+kept here as oracles only. The oracles share neither the rejection tests,
+the candidate index, the support filter nor the model slot of
+`reduce_program`."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from hornlearn import (
     Literal,
     System,
     apply_to_clause,
+    clause_distance,
     config_for_stream,
     learner,
     parse_program,
@@ -29,7 +31,7 @@ from hornlearn import (
 )
 from hornlearn.cases import even_atom, numeral
 from hornlearn.learner import _priority_sorted, _restart_stage, _strictly_precedes
-from hornlearn.logic import literal_variables
+from hornlearn.logic import is_ground_literal, literal_variables
 from hornlearn.metric import priority_precedes
 from hornlearn.semantics import _universe_for, least_model_bounded
 from hornlearn.subsumption import reduce_clause, substitutions
@@ -47,6 +49,7 @@ from conftest import (
     random_simple_program,
     random_term,
 )
+from test_metric import brute_force_hausdorff
 from test_semantics import oracle_least_model
 
 # (signature, term depth of the random inputs, depth bound of the models).
@@ -192,6 +195,94 @@ def test_reduce_program_one_pass_equals_rescanning_oracle(
             removed += len(p) - len(got)
             fallbacks += len(models)
     assert removed > 0 and fallbacks > 0, (removed, fallbacks)
+
+
+def program_with_shared_ground_literals(rng: random.Random, sig, max_depth: int) -> HornProgram:
+    """Rules whose bodies carry ground atoms from a small pool, which the
+    facts and the other rules share, plus instances of those rules with one
+    more pooled body atom, which the rule subsumes."""
+    functors = sig[0]
+    pool = [random_atom(rng, sig, max_depth) for _ in range(3)]
+    clauses = [Clause((a,)) for a in pool if rng.random() < 0.5]
+    for _ in range(rng.randint(1, 3)):
+        rule = random_definite_clause(rng, sig, max_depth, max_body=2)
+        rule = Clause(rule.literals | {a.negated() for a in rng.sample(pool, rng.randint(1, 2))})
+        clauses.append(rule)
+        if rng.random() < 0.6:
+            theta = {v: random_term(rng, functors, max_depth) for v in rule.variables()}
+            instance = apply_to_clause(rule, theta)
+            clauses.append(Clause(instance.literals | {rng.choice(pool).negated()}))
+    return HornProgram(clauses)
+
+
+@pytest.mark.parametrize("sig,max_depth,depth_bound", SIGNATURES)
+def test_reduce_program_index_equals_oracle_on_shared_ground_body_atoms(
+    rng, sig, max_depth, depth_bound
+):
+    # A removal by a clause holding a ground literal goes through the index's
+    # ground-literal dict, not its list of clauses without one.
+    by_ground_subsumer = 0
+    for _ in range(150):
+        p = program_with_shared_ground_literals(rng, sig, max_depth)
+        got = outcome(reduce_program, p, depth_bound)
+        assert got == outcome(oracle_reduce_program, p, depth_bound), p
+        if isinstance(got, HornProgram):
+            by_ground_subsumer += sum(
+                any(
+                    any(is_ground_literal(l) for l in d.literals)
+                    and oracle_theta_subsumes(d, c)[0]
+                    for d in got
+                )
+                for c in set(p.clauses) - set(got.clauses)
+                if not c.is_fact
+            )
+    assert by_ground_subsumer > 100, by_ground_subsumer
+
+
+def test_golem_descending_asks_theta_subsumes_at_most_once_per_clause(monkeypatch):
+    # Pairing every clause with every other asked n² pairs per reduction;
+    # the candidate index pairs a fact with no other fact.
+    stream = ExampleStream(even_atom(2 * k) for k in reversed(range(64)))
+    cfg = config_for_stream(stream, System.GOLEM)
+    calls = 0
+
+    def counted_theta(c, d):
+        nonlocal calls
+        calls += 1
+        return theta_subsumes(c, d)
+
+    per_reduction = []
+
+    def counted_reduce(p, depth_bound):
+        before = calls
+        out = reduce_program(p, depth_bound)
+        per_reduction.append((len(p), calls - before))
+        return out
+
+    monkeypatch.setattr(semantics, "theta_subsumes", counted_theta)
+    monkeypatch.setattr(learner, "reduce_program", counted_reduce)
+    run_stream(stream, cfg)
+    assert len(per_reduction) == 64 and max(n for n, _ in per_reduction) > 32
+    assert all(asked <= n for n, asked in per_reduction), per_reduction
+
+
+@pytest.mark.parametrize("sig,max_depth,depth_bound", SIGNATURES)
+def test_clause_distance_one_matrix_equals_two_pass_oracle(rng, sig, max_depth, depth_bound):
+    functors = sig[0]
+    unequal = 0
+    values = set()
+    for _ in range(300):
+        c = random_clause(rng, sig, max_depth, max_literals=3)
+        d = random_clause(rng, sig, max_depth, max_literals=4)
+        if rng.random() < 0.7:
+            # An instance of c plus d's literals: near pairs at 1/m.
+            theta = {v: random_term(rng, functors, max_depth) for v in c.variables()}
+            d = Clause(apply_to_clause(c, theta).literals | d.literals)
+        got = clause_distance(c, d)
+        assert got == brute_force_hausdorff(c, d) and got == clause_distance(d, c), (c, d)
+        unequal += len(c) != len(d)
+        values.add(got)
+    assert unequal > 150 and len(values - {0, 1}) >= 2, (unequal, values)
 
 
 def test_reduce_program_grounds_only_the_clauses_still_kept():
