@@ -9,9 +9,11 @@ depth 1.
 Terms are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", 2006): `Var` and `Fn` return the existing node for an equal
 term, so `==` is identity. A node stores its hash, depth and groundness,
-computed from its children when it is built, and its subterm and variable
-sets once first asked for. The intern table holds its nodes weakly: a term
-nothing else refers to leaves it.
+computed from its children when it is built, its subterm and variable sets
+once first asked for, and its own-name text (variables by their own names)
+once it is first rendered; `syntax` fills that slot. The intern table holds
+its nodes weakly: a term nothing else refers to leaves it, and its stored
+sets and text with it.
 
 A literal is a sign and an atom, and the atom is a term rooted at the
 predicate symbol (Plotkin 1970), so matching, lgg, distance and rendering of
@@ -85,7 +87,7 @@ class Var(_Term):
 class Fn(_Term):
     """A compound term f(t1, ..., tn). Constants are 0-argument compounds."""
 
-    __slots__ = ("functor", "args", "depth", "ground", "_subterms", "_variables")
+    __slots__ = ("functor", "args", "depth", "ground", "_subterms", "_variables", "_text")
 
     def __new__(cls, functor: str, args: tuple["Term", ...] = ()) -> "Fn":
         key = (functor, args)

@@ -15,9 +15,18 @@ Rendering is deterministic and canonical: clauses are sorted by (head
 predicate, arity, max term depth, rendered text) and variables are renamed
 X0, X1, ... in first-occurrence order. Canonical renderings of clauses are
 renaming-invariant, so string equality of canonical forms is clause variant
-equality. All rendering is one term walk that names variables as it goes:
-by their own names, as "*" in the skeleton sort key, or X0, X1, ... in the
-order the canonical renderer meets them.
+equality. All rendering is one term walk, on an explicit stack so that no
+term is too deep for it, that names variables as it goes: by their own
+names, as "*" in the skeleton sort key, or X0, X1, ... in the order the
+canonical renderer meets them.
+
+Terms are hash-consed, so a node's own-name text is a function of the node:
+the first render stores it on every node it composes, and later renders of
+the node, or of any term containing it, read it, as does the renaming walk
+for each ground subterm. A chain such as s^30(0) is rendered once while
+it lives, not once per sort. The stored texts cost the sum of their lengths
+over the distinct nodes rendered: on a unary chain of depth D about
+1.5 * D^2 characters, ~54 KB at D = 190 and ~6 MB at D = 2,000.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import re
 from collections.abc import Callable
 from itertools import groupby, permutations, product
 from math import factorial, prod
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .logic import (
     Clause,
@@ -190,24 +199,47 @@ def parse_example_stream(text: str) -> ExampleStream:
 # Rendering
 
 
-def _term_text(t: Term, name: Callable[[Var], str]) -> str:
-    """The one rendering walk; `name` gives each variable occurrence's text."""
-    if isinstance(t, Var):
-        return name(t)
-    if not t.args:
-        return t.functor
-    return f"{t.functor}({', '.join(_term_text(a, name) for a in t.args)})"
-
-
-_own_name = attrgetter("name")
+def _term_text(t: Term, name: Callable[[Var], str] | None) -> str:
+    """The one rendering walk: bottom-up on one explicit stack, children left
+    to right, so no term is too deep for it. `name` gives each variable
+    occurrence's text, in the order the walk meets them, and a ground
+    subterm is its stored own-name text. With `name` None variables keep
+    their own names and every node the walk composes stores its text."""
+    texts: list[str] = []
+    work: list[tuple[Term, bool]] = [(t, False)]
+    while work:
+        u, expanded = work.pop()
+        if expanded:
+            k = len(u.args)
+            parts = texts[len(texts) - k:]
+            del texts[len(texts) - k:]
+            text = f"{u.functor}({', '.join(parts)})" if parts else u.functor
+            if name is None:
+                object.__setattr__(u, "_text", text)  # Fn refuses plain assignment
+            texts.append(text)
+        elif isinstance(u, Var):
+            texts.append(u.name if name is None else name(u))
+        elif name is not None and u.ground:
+            texts.append(render_term(u))
+        elif name is None and hasattr(u, "_text"):
+            texts.append(u._text)
+        else:
+            work.append((u, True))
+            work.extend((a, False) for a in reversed(u.args))
+    return texts[0]
 
 
 def render_term(t: Term) -> str:
-    return _term_text(t, _own_name)
+    """t's text with variables by their own names: stored on a node the
+    first time it is rendered, and read from there ever after."""
+    try:
+        return t._text
+    except AttributeError:
+        return _term_text(t, None)
 
 
 def render_literal(lit: Literal) -> str:
-    return _term_text(lit.term, _own_name)
+    return render_term(lit.term)
 
 
 def literal_order(lit: Literal) -> tuple[bool, str]:

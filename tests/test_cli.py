@@ -16,7 +16,7 @@ from hornlearn import (
     render_literal,
     run_stream,
 )
-from hornlearn.cases import even_reordered_stream
+from hornlearn.cases import even_ascending_stream, even_reordered_stream
 from hornlearn.cli import main
 
 CHAIN_UP = "p(0).\np(s(s(X))) :- p(X).\n"
@@ -443,6 +443,34 @@ def test_deeply_nested_input_is_a_parse_error(tmp_path, capsys):
     program.write_text(f"p({deep}).\n")
     code, _, err = run(capsys, "model", "--program", str(program), "--depth", "3")
     assert_one_line_parse_error(code, err, "nested too deeply")
+
+
+@pytest.mark.parametrize("system", ["pgolem", "golem"])
+def test_learn_and_analyze_the_200_stage_ascending_stream(tmp_path, capsys, system):
+    # Its deepest examples nest past the 332 levels a recursive renderer
+    # reaches under the default recursion limit.
+    stream = tmp_path / "stream.pl"
+    stream.write_text("".join(f"{render_literal(a)}.\n" for a in even_ascending_stream(200)))
+    trace = tmp_path / "trace.jsonl"
+    code, out, err = run(
+        capsys, "learn", "--system", system, "--examples", str(stream), "--trace", str(trace)
+    )
+    assert code == 0, err
+    assert out.splitlines()[1:] == ["p(0).", "p(s(s(X0))) :- p(X0)."]
+    code, out, err = run(capsys, "analyze", "--trace", str(trace))
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["verdict"] == "stable"
+    assert len(report["correctness"]) == 200 and all(report["correctness"].values())
+
+
+def test_model_prints_a_400_deep_fact(tmp_path, capsys):
+    fact = "p(" + "s(" * 400 + "0" + ")" * 400 + ")"
+    program = tmp_path / "deep.pl"
+    program.write_text(f"{fact}.\n")
+    code, out, err = run(capsys, "model", "--program", str(program), "--depth", "401")
+    assert code == 0, err
+    assert out.splitlines() == [f"{fact}.", "% 1 atom(s), depth bound 401, truncated: 0"]
 
 
 def test_rlgg_saturation_over_the_cap_is_a_usage_error(tmp_path, capsys):

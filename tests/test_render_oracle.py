@@ -1,23 +1,57 @@
 """Differential tests: canonical clause and program rendering against the
 permutation search they replaced (each skeleton computed per comparison,
 positives and negatives sorted apart, every clause rendered twice by the
-program renderer), kept here as oracles only. The oracle carries its own
-term renderer, skeleton and renaming (a substituted copy of each literal),
-so it shares no rendering code with the module under test."""
+program renderer), and the own-name text stored on term nodes against the
+recursive term renderer, kept here as oracles only. The oracle carries its
+own term renderer, skeleton and renaming (a substituted copy of each
+literal), so it shares no rendering code with the module under test.
+
+Which caller stores a node's text first follows set iteration order, so
+these tests also run under two hash seeds, with the trace bytes of two
+descending streams deep enough that every stage reads stored text."""
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import json
 import random
-from itertools import permutations, product
+import sys
+import threading
+from itertools import count, permutations, product
 from math import factorial
 
 import pytest
 
-from hornlearn import Clause, Fn, HornProgram, Literal, Var, atom, neg, render_clause, render_program
-from hornlearn.logic import apply_to_literal
-from hornlearn.syntax import _PERMUTE_BUDGET
+from hornlearn import (
+    Clause,
+    ExampleStream,
+    Fn,
+    HornProgram,
+    Literal,
+    System,
+    Var,
+    atom,
+    config_for_stream,
+    neg,
+    render_clause,
+    render_program,
+    render_term,
+    run_stream,
+)
+from hornlearn.cases import even_atom
+from hornlearn.logic import _interned, apply_to_literal, subterms
+from hornlearn.syntax import _PERMUTE_BUDGET, literal_order
 
-from conftest import SIG_BINARY, SIG_UNARY, VAR_POOL, random_clause, random_horn_program
+from conftest import (
+    SIG_BINARY,
+    SIG_UNARY,
+    VAR_POOL,
+    random_clause,
+    random_horn_program,
+    random_literal,
+    random_term,
+)
 
 
 def oracle_render_term(t) -> str:
@@ -220,3 +254,132 @@ def test_render_program_equals_oracle(rng, sig):
         assert got == oracle_render_program(p), p
         merged += len(got.splitlines()) < len(p)
     assert merged > 100
+
+
+# --- own-name text stored on the node, against oracle_render_term -------------
+
+_fresh = count()
+
+
+def fresh_terms(rng: random.Random, n: int, max_depth: int) -> list:
+    """Random terms over functor names no other term has, so no node of
+    theirs has been rendered yet."""
+    k = next(_fresh)
+    functors = ((f"k{k}", 0), (f"s{k}", 1), (f"f{k}", 2))
+    return [random_term(rng, functors, max_depth, ground=rng.random() < 0.5) for _ in range(n)]
+
+
+def fn_nodes(terms) -> list:
+    """Every compound node of the terms, in a seed-independent order."""
+    return sorted({u for t in terms for u in subterms(t) if isinstance(u, Fn)}, key=oracle_render_term)
+
+
+@pytest.mark.parametrize("order", ["parents-first", "children-first", "shuffled"])
+def test_stored_text_equals_the_oracle_in_any_render_order(rng, order):
+    terms = fresh_terms(rng, 300, max_depth=8)
+    nodes = fn_nodes(terms)
+    assert len(nodes) > 300 and not any(hasattr(u, "_text") for u in nodes)
+    if order == "shuffled":
+        rng.shuffle(nodes)
+    else:
+        nodes.sort(key=lambda u: u.depth, reverse=order == "parents-first")
+    for i, u in enumerate(nodes):
+        assert render_term(u) == oracle_render_term(u), u
+        if order == "parents-first" and i == len(terms):
+            # The deepest nodes came first, and filled every node below them.
+            assert all(hasattr(v, "_text") for v in fn_nodes(nodes[:i]))
+    assert all(u._text == oracle_render_term(u) for u in nodes)
+    for t in terms:
+        assert render_term(t) == oracle_render_term(t)
+
+
+def test_a_node_dropped_and_interned_again_renders_again():
+    k = next(_fresh)
+
+    def build():
+        return Fn(f"root{k}", (Fn(f"s{k}", (Fn(f"leaf{k}"),)), Var("DropVar")))
+
+    t = build()
+    subterms(t)  # the stored set refers back to t: only the collector frees it
+    expected = f"root{k}(s{k}(leaf{k}), DropVar)"
+    assert render_term(t) == expected
+    child = t.args[0]
+    del t
+    gc.collect()
+    assert not any(key[0] == f"root{k}" for key in list(_interned.keys()))
+    # The surviving child keeps its text; the new root composes on it.
+    again = build()
+    assert not hasattr(again, "_text") and again.args[0] is child
+    assert render_term(again) == expected
+    del again, child
+    gc.collect()
+    assert not any(key[0] in (f"root{k}", f"s{k}", f"leaf{k}") for key in list(_interned.keys()))
+    rebuilt = build()
+    assert not any(hasattr(u, "_text") for u in subterms(rebuilt) if isinstance(u, Fn))
+    assert render_term(rebuilt) == expected
+
+
+def test_threads_rendering_the_same_fresh_deep_terms_get_the_oracle_text():
+    rng = random.Random(2026)
+    k = next(_fresh)
+    base = Fn(f"f{k}", (Var("T"), Fn(f"z{k}")))
+    chains = [base]
+    for _ in range(300):
+        chains.append(Fn(f"s{k}", (chains[-1],)))
+    # Chains that share their lower nodes, and pairs of them.
+    terms = chains[::37] + [Fn(f"g{k}", (rng.choice(chains), rng.choice(chains))) for _ in range(20)]
+    terms += fresh_terms(rng, 60, max_depth=8)
+    expected = [oracle_render_term(t) for t in terms]
+    assert not any(hasattr(u, "_text") for u in fn_nodes(terms))
+    wrong, finished = [], []
+    start = threading.Barrier(8)
+
+    def render_all(seed: int) -> None:
+        order = list(range(len(terms)))
+        random.Random(seed).shuffle(order)
+        start.wait(timeout=60)
+        wrong.extend(i for i in order if render_term(terms[i]) != expected[i])
+        finished.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=render_all, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(finished) == 8
+    assert not wrong
+    assert all(u._text == oracle_render_term(u) for u in fn_nodes(terms))
+
+
+@pytest.mark.parametrize("sig", [SIG_UNARY, SIG_BINARY], ids=["unary", "binary"])
+def test_literal_order_sorts_as_the_oracle_text(rng, sig):
+    for _ in range(300):
+        lits = [
+            random_literal(rng, sig, max_depth=4, ground=rng.random() < 0.5)
+            for _ in range(rng.randint(0, 8))
+        ]
+        want = sorted(lits, key=lambda l: (not l.positive, oracle_render_literal(l)))
+        assert sorted(lits, key=literal_order) == want, lits
+
+
+# sha256 of the trace `hornlearn learn --trace` writes for each stream,
+# recorded before nodes stored their text. The golden traces stop far
+# shallower.
+DESCENDING_TRACE_SHA256 = {
+    (System.GOLEM, 96): "17a91b6c254af07064c4a4638b33675b56b99f47b31acf4de8c09b0998b6e65c",
+    (System.PRIORITIZED_GOLEM, 48): "d3afd60a913488df396287c45d5abfe2d55893ed78512dd30ce1d4c581213802",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("system,stages", list(DESCENDING_TRACE_SHA256), ids=["golem-96", "pgolem-48"])
+def test_descending_trace_bytes_at_depth_are_pinned(system, stages):
+    stream = ExampleStream(even_atom(2 * k) for k in reversed(range(stages)))
+    records = run_stream(stream, config_for_stream(stream, system))
+    text = "\n".join(json.dumps(r.to_json_dict()) for r in records) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DESCENDING_TRACE_SHA256[system, stages]

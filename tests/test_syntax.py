@@ -10,6 +10,7 @@ from hornlearn import (
     parse_program,
     parse_term,
     render_clause,
+    render_literal,
     render_program,
     render_term,
 )
@@ -109,3 +110,29 @@ def test_clause_rendering_idempotent(seed):
     once = render_clause(c)
     reparsed = parse_program(once)
     assert render_clause(next(iter(reparsed))) == once
+
+
+def chain(n: int, base):
+    for _ in range(n):
+        base = Fn("s", (base,))
+    return base
+
+
+def test_terms_literals_and_clauses_render_at_depth_2000():
+    n = 2000
+    x, y = Var("X"), Var("Y")
+    assert render_term(chain(n, Fn("0"))) == "s(" * n + "0" + ")" * n
+    assert render_term(chain(n, x)) == "s(" * n + "X" + ")" * n
+    assert render_literal(neg("p", chain(n, x))) == "p(" + "s(" * n + "X" + ")" * n + ")"
+    rule = Clause([atom("p", chain(n, x)), neg("p", x)])
+    assert render_clause(rule) == "p(" + "s(" * n + "X0" + ")" * n + ") :- p(X0)."
+    # Variables are numbered in left-to-right first occurrence, below and
+    # beside a deep ground subterm alike.
+    mixed = Clause([
+        atom("q", chain(n, Fn("f", (y, chain(n, Fn("0"))))), chain(n, x)),
+        neg("r", x, y),
+    ])
+    assert render_clause(mixed) == (
+        "q(" + "s(" * n + "f(X0, " + "s(" * n + "0" + ")" * n + ")" + ")" * n + ", "
+        + "s(" * n + "X1" + ")" * n + ") :- r(X1, X0)."
+    )
