@@ -48,7 +48,6 @@ from .logic import (
     HornProgram,
     Literal,
     fact,
-    is_ground_literal,
     literal_depth,
     literal_subterms,
 )
@@ -122,7 +121,7 @@ class StageRecord:
                 f"than {obj['stage']}"
             )
         example = parse_atom(obj["example"])
-        if not is_ground_literal(example):
+        if not example.term.ground:
             raise ValueError(f"example is not ground: {render_literal(example)}")
         program = parse_program(obj["program"])
         return cls(
@@ -139,23 +138,21 @@ def _keep_learned(clauses: frozenset[Clause]) -> set[Clause]:
     return {c for c in clauses if c.is_definite and c.range_restricted}
 
 
-def _extend(
-    current: HornProgram,
-    e: Literal,
-    cfg: LearnerConfig,
-    restrict_to_priority: bool,
-) -> HornProgram:
+def _extend(current: HornProgram, e: Literal, cfg: LearnerConfig) -> HornProgram:
     """The shared uncovered-arrival step: saturate, generalize, retain the
     arrival as a fact if still needed, reduce. Every caller has already
-    found e uncovered by `current`, so saturation does not ask again."""
+    found e uncovered by `current`, so saturation does not ask again. The
+    prioritized learner restricts saturation to higher-priority atoms and
+    keeps its generalizations simple."""
+    prioritized = cfg.system is System.PRIORITIZED_GOLEM
     sigma = saturate(current, e, cfg.policy, cfg.depth_bound)
-    if restrict_to_priority:
+    if prioritized:
         sigma = frozenset(_restrict_clause(c, e) for c in sigma)
 
     hypothesis_clauses = frozenset(current.rules)
     if hypothesis_clauses:
         new = lgg_clause_sets(hypothesis_clauses, sigma)
-        if restrict_to_priority:
+        if prioritized:
             new = frozenset(_enforce_simplicity(c) for c in new)
     else:
         new = sigma
@@ -201,7 +198,7 @@ def golem_step(
             )
             return program, Action.COVERED
         return current, Action.COVERED
-    return _extend(current, e, cfg, restrict_to_priority=False), Action.EXTENDED
+    return _extend(current, e, cfg), Action.EXTENDED
 
 
 def pgolem_step(
@@ -224,7 +221,7 @@ def pgolem_step(
         program = _replay(base, pending, cfg)
         return program, Action.RESTARTED, j
 
-    return _extend(current, e, cfg, restrict_to_priority=True), Action.EXTENDED, None
+    return _extend(current, e, cfg), Action.EXTENDED, None
 
 
 def _strictly_precedes(a: Literal, b: Literal) -> bool:
@@ -284,7 +281,7 @@ def _replay(base: HornProgram, pending: list[Literal], cfg: LearnerConfig) -> Ho
     for a in _priority_sorted(pending):
         if is_covered(program, a, cfg.depth_bound):
             continue
-        program = _extend(program, a, cfg, restrict_to_priority=True)
+        program = _extend(program, a, cfg)
     return program
 
 

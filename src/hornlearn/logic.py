@@ -208,17 +208,9 @@ def literal_subterms(lit: Literal) -> frozenset[Term]:
     return frozenset().union(*map(subterms, lit.args))
 
 
-def literal_variables(lit: Literal) -> frozenset[Var]:
-    return term_variables(lit.term)
-
-
 def literal_depth(lit: Literal) -> int:
     """The depth of the deepest argument; 1 for a 0-ary atom."""
     return max(lit.term.depth - 1, 1)
-
-
-def is_ground_literal(lit: Literal) -> bool:
-    return lit.term.ground
 
 
 def apply_to_literal(lit: Literal, theta: Substitution) -> Literal:
@@ -279,7 +271,7 @@ class Clause:
         return (
             len(self.literals) == 1
             and self.is_definite
-            and is_ground_literal(self.head)
+            and self.head.term.ground
         )
 
     @property
@@ -290,7 +282,8 @@ class Clause:
     def unbound_head_variables(self) -> frozenset[Var]:
         """Head variables that occur in no body literal. Defined for definite
         clauses only."""
-        return literal_variables(self.head).difference(*map(literal_variables, self.body))
+        body = (term_variables(l.term) for l in self.body)
+        return term_variables(self.head.term).difference(*body)
 
     @property
     def range_restricted(self) -> bool:
@@ -298,7 +291,7 @@ class Clause:
         return not self.unbound_head_variables
 
     def variables(self) -> frozenset[Var]:
-        return frozenset().union(*(literal_variables(l) for l in self.literals))
+        return frozenset().union(*(term_variables(l.term) for l in self.literals))
 
     def max_depth(self) -> int:
         return max((literal_depth(l) for l in self.literals), default=1)
@@ -364,11 +357,7 @@ class HornProgram:
 
 @dataclass(frozen=True)
 class ExampleStream:
-    """Ordered arrivals of ground positive literals.
-
-    The cumulative view E_n is the set of the first n+1 arrivals, so
-    E_0 ⊆ E_1 ⊆ ... by construction.
-    """
+    """Ordered arrivals of ground positive literals."""
 
     arrivals: tuple[Literal, ...]
 
@@ -377,7 +366,7 @@ class ExampleStream:
         for a in arr:
             if not a.positive:
                 raise ValueError(f"example is not positive: {a}")
-            if not is_ground_literal(a):
+            if not a.term.ground:
                 raise ValueError(f"example is not ground: {a}")
         object.__setattr__(self, "arrivals", arr)
 
@@ -386,10 +375,6 @@ class ExampleStream:
 
     def __len__(self) -> int:
         return len(self.arrivals)
-
-    def cumulative(self, n: int) -> frozenset[Literal]:
-        """E_n: the set of the first n+1 arrivals."""
-        return frozenset(self.arrivals[: n + 1])
 
     def max_depth(self) -> int:
         return max((literal_depth(a) for a in self.arrivals), default=1)

@@ -68,7 +68,6 @@ from .logic import (
     Literal,
     Term,
     apply_to_literal,
-    is_ground_literal,
     literal_depth,
     term_signature,
 )
@@ -88,9 +87,6 @@ class BoundedModel:
     depth_bound: int
     atoms: frozenset[Literal]
     truncated: int
-
-    def __contains__(self, a: Literal) -> bool:
-        return a in self.atoms
 
     def sorted_atoms(self) -> list[Literal]:
         return sorted(self.atoms, key=lambda a: (a.predicate, literal_depth(a), render_literal(a)))
@@ -192,14 +188,13 @@ def least_model_bounded(
     monotone, so it exists), computed semi-naively and kept in the model
     slot on (p, depth_bound, universe). A bound below 1 is a ValueError: no
     atom has depth 0."""
-    return _model_entry(p, depth_bound, signature).model
+    return _least_model(p, depth_bound, signature).model
 
 
 class _Entry(NamedTuple):
-    """The model slot (module docstring)."""
+    """The model slot (module docstring); the model carries the bound."""
 
     program: HornProgram
-    depth_bound: int
     universe: frozenset[Term]
     model: BoundedModel
     dropped: frozenset[Literal]
@@ -209,23 +204,21 @@ class _Entry(NamedTuple):
 _slot: _Entry | None = None
 
 
-def _model_entry(
+def _least_model(
     p: HornProgram, depth_bound: int, signature: frozenset[tuple[str, int]] | None
 ) -> _Entry:
+    """Every model query's way to the slot: check the bound, find the
+    universe, then a hit returns the slot; a slot whose program is a clause
+    subset of p under the same bound and universe is the base of a warm
+    start; anything else builds from empty. The result replaces the slot."""
+    global _slot
     if depth_bound < 1:
         raise ValueError("depth bound must be a positive integer")
-    return _least_model(p, depth_bound, _universe_for(p, depth_bound, signature))
-
-
-def _least_model(p: HornProgram, depth_bound: int, universe: frozenset[Term]) -> _Entry:
-    """A hit returns the slot; a slot whose program is a clause subset of p
-    under the same bound and universe is the base of a warm start; anything
-    else builds from empty. The result replaces the slot."""
-    global _slot
+    universe = _universe_for(p, depth_bound, signature)
     base = _slot
     if (
         base is None
-        or base.depth_bound != depth_bound
+        or base.model.depth_bound != depth_bound
         or base.universe != universe
         or not base.program.clauses <= p.clauses
     ):
@@ -267,7 +260,7 @@ def _fixpoint(
                     dropped.add(h)
         if not fresh:
             model = BoundedModel(depth_bound, known, truncated=len(dropped))
-            return _Entry(p, depth_bound, universe, model, frozenset(dropped), frozenset(support))
+            return _Entry(p, universe, model, frozenset(dropped), frozenset(support))
         old, new, clauses = known, frozenset(fresh), p.rules
 
 
@@ -300,10 +293,10 @@ def reduce_program(p: HornProgram, depth_bound: int) -> HornProgram:
     # Removals must not shrink the term language; only a clause with an
     # unbound head variable grounds over it.
     signature = None if p.range_restricted else p.signature()
-    entry = _model_entry(p, depth_bound, None) if p.range_restricted else None
+    entry = _least_model(p, depth_bound, None) if p.range_restricted else None
     support = entry.support if entry else None
     keys = {c: {(l.positive, l.pred_key) for l in c.literals} for c in clauses}
-    ground = {c: {l for l in c.literals if is_ground_literal(l)} for c in clauses}
+    ground = {c: {l for l in c.literals if l.term.ground} for c in clauses}
     holders: dict[Literal, list[Clause]] = {}
     for c in clauses:
         for l in ground[c]:
@@ -322,7 +315,7 @@ def reduce_program(p: HornProgram, depth_bound: int) -> HornProgram:
             clauses.remove(c)
         elif c.is_fact and len(clauses) > 1:
             if support is None:
-                support = _model_entry(HornProgram(clauses), depth_bound, signature).support
+                support = _least_model(HornProgram(clauses), depth_bound, signature).support
             if c.head in support:
                 rest = HornProgram(clauses - {c})
                 if c.head in least_model_bounded(rest, depth_bound, signature).atoms:
@@ -348,7 +341,7 @@ def covers(
             f"use a bound of at least {worst}"
         )
     for e in examples:
-        if not e.positive or not is_ground_literal(e):
+        if not e.positive or not e.term.ground:
             raise ValueError(f"examples must be ground positive atoms: {render_literal(e)}")
     model = examples_model(p, examples, depth_bound)
     return {e: e in model.atoms for e in examples}

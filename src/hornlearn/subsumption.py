@@ -22,8 +22,7 @@ from .logic import (
     Substitution,
     Term,
     Var,
-    is_ground_literal,
-    literal_variables,
+    term_variables,
 )
 from .syntax import literal_order, render_clause
 
@@ -53,16 +52,6 @@ def match_terms(pattern: Term, target: Term, theta: dict[Var, Term]) -> dict[Var
     return theta
 
 
-def match_literals(
-    pattern: Literal, target: Literal, theta: dict[Var, Term]
-) -> dict[Var, Term] | None:
-    """Equal signs, then the atoms match as terms: a ground body atom
-    matches only its own node."""
-    if pattern.positive != target.positive:
-        return None
-    return match_terms(pattern.term, target.term, theta)
-
-
 def substitutions(
     patterns: Sequence[Literal],
     targets: Sequence[Collection[Literal]],
@@ -73,12 +62,16 @@ def substitutions(
     pattern tries its targets in their iteration order, and each match
     recurses on the remaining patterns. This is the one search behind both
     theta-subsumption (the same clause at every position) and T_P grounding
-    (old, new or all atoms by position, for semi-naive evaluation)."""
+    (old, new or all atoms by position, for semi-naive evaluation). A pattern
+    literal matches a target of its sign whose atom its atom matches."""
     if not patterns:
         yield theta
         return
+    pattern = patterns[0]
     for target in targets[0]:
-        extended = match_literals(patterns[0], target, theta)
+        if pattern.positive != target.positive:
+            continue
+        extended = match_terms(pattern.term, target.term, theta)
         if extended is not None:
             yield from substitutions(patterns[1:], targets[1:], extended)
 
@@ -93,26 +86,22 @@ def theta_subsumes(c: Clause, d: Clause) -> tuple[bool, Substitution | None]:
     # The set difference reuses the hashes the frozensets store.
     d_keys = {(l.positive, l.pred_key) for l in d.literals}
     if any((l.positive, l.pred_key) not in d_keys for l in c.literals) or any(
-        is_ground_literal(l) for l in c.literals - d.literals
+        l.term.ground for l in c.literals - d.literals
     ):
         return False, None
     # Most-constrained literals first (fewest variables) prunes early; the
     # text tiebreak keeps the found witness deterministic.
-    c_lits = sorted(c.literals, key=lambda l: (len(literal_variables(l)), literal_order(l)))
+    c_lits = sorted(c.literals, key=lambda l: (len(term_variables(l.term)), literal_order(l)))
     d_lits = sorted(d.literals, key=literal_order)
     witness = next(substitutions(c_lits, [d_lits] * len(c_lits), {}), None)
     return witness is not None, witness
 
 
-def subsumes(c: Clause, d: Clause) -> bool:
-    return theta_subsumes(c, d)[0]
-
-
 def clause_variant_equal(c: Clause, d: Clause) -> bool:
     """Equality up to bijective variable renaming.
 
-    Canonical renderings are renaming-invariant, so this reduces to string
-    equality; used as clause identity for set-theoretic limits.
+    Canonical renderings are renaming-invariant (within the permutation
+    budget of `syntax.render_clause`), so this reduces to string equality.
     """
     return render_clause(c) == render_clause(d)
 

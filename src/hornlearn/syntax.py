@@ -45,7 +45,6 @@ from .logic import (
     Literal,
     Term,
     Var,
-    is_ground_literal,
 )
 
 
@@ -189,7 +188,7 @@ def parse_example_stream(text: str) -> ExampleStream:
         _, _, line, col = p.peek()
         lit = p.parse_atom()
         p.expect("dot", "'.'")
-        if not is_ground_literal(lit):
+        if not lit.term.ground:
             raise ParseError(f"example is not ground: {render_literal(lit)}", line, col)
         arrivals.append(lit)
     return ExampleStream(arrivals)
@@ -298,6 +297,10 @@ def render_clause(c: Clause) -> str:
     within-group orderings under first-occurrence renaming. The minimum is
     global: a partial-prefix tie between two orderings can still bind
     variables differently and diverge in a later group.
+
+    Past _PERMUTE_BUDGET orderings the text is deterministic but not
+    renaming-invariant: each group is sorted on its literals' renamed text,
+    and literals that tie there on their own-name text.
     """
     stored = vars(c)
     if "canonical_text" not in stored:
@@ -311,7 +314,11 @@ def _canonical_text(c: Clause) -> str:
     if prod(factorial(len(g)) for g in groups) > _PERMUTE_BUDGET:
         # Clauses with this many renaming-twin literals are outside the
         # artifact's domain; settle for a deterministic structural order.
-        flat = [lit for group in groups for lit in sorted(group, key=lambda l: _renamed([l]))]
+        flat = [
+            lit
+            for group in groups
+            for lit in sorted(group, key=lambda l: (_renamed([l]), render_literal(l)))
+        ]
         return _renamed(flat)[1]
     return min(
         _renamed([lit for group in choice for lit in group])[1]

@@ -91,6 +91,11 @@ def random_horn_program(
     return HornProgram(random_definite_clause(rng, sig, max_depth) for _ in range(n))
 
 
+def cumulative(stream: ExampleStream, n: int) -> frozenset[Literal]:
+    """E_n: the set of the first n+1 arrivals, so E_0 ⊆ E_1 ⊆ ..."""
+    return frozenset(stream.arrivals[: n + 1])
+
+
 def random_stream(rng: random.Random, sig, max_depth: int, max_arrivals: int = 8) -> ExampleStream:
     n = rng.randint(1, max_arrivals)
     return ExampleStream(random_atom(rng, sig, max_depth, ground=True) for _ in range(n))

@@ -30,7 +30,7 @@ from hornlearn import (
     theta_subsumes,
 )
 from hornlearn.cases import even_ascending_stream, even_atom, even_reordered_stream, numeral
-from hornlearn.logic import Var, literal_variables
+from hornlearn.logic import Var, term_variables
 from hornlearn.metric import is_simple_program
 from hornlearn.subsumption import program_variant_equal, reduce_clause
 
@@ -235,7 +235,7 @@ def test_criterion_7_lgg_property_suite():
                 violations += 1
             input_vars = clause_vars(c) | clause_vars(d)
             for lit in g.literals:
-                for v in literal_variables(lit):
+                for v in term_variables(lit.term):
                     if v not in input_vars and v not in values:
                         violations += 1
         assert violations == 0
@@ -244,7 +244,7 @@ def test_criterion_7_lgg_property_suite():
 def clause_vars(c: Clause):
     out = set()
     for l in c.literals:
-        out |= literal_variables(l)
+        out |= term_variables(l.term)
     return out
 
 

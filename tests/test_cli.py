@@ -481,6 +481,35 @@ def test_rlgg_saturation_over_the_cap_is_a_usage_error(tmp_path, capsys):
     assert "--policy ground" in err
 
 
+def learn_ground_policy_over_facts(tmp_path, capsys, n):
+    """golem with the ground policy on the stream p(a). p(b). over the
+    background q(c0). ... q(cN-1).: the lgg at stage 1 pairs N^2 + 1
+    literals."""
+    bg = tmp_path / "bg.pl"
+    bg.write_text("".join(f"q(c{i}).\n" for i in range(n)))
+    stream = tmp_path / "stream.pl"
+    stream.write_text("p(a).\np(b).\n")
+    return run(
+        capsys, "learn", "--system", "golem", "--policy", "ground",
+        "--background", str(bg), "--examples", str(stream),
+    )
+
+
+@pytest.mark.parametrize("n", [10, 20])
+def test_learn_ground_policy_under_the_lgg_cap(tmp_path, capsys, n):
+    code, out, err = learn_ground_policy_over_facts(tmp_path, capsys, n)
+    assert code == 0, err
+    qs = sorted(f"q(c{i})" for i in range(n))
+    lines = ["% 2 stage(s), depth bound 5", f"p(a) :- {', '.join(qs)}.", "p(b)."]
+    assert out == "\n".join(lines + [f"{q}." for q in qs]) + "\n"
+
+
+def test_learn_ground_policy_over_the_lgg_cap_is_a_usage_error(tmp_path, capsys):
+    code, out, err = learn_ground_policy_over_facts(tmp_path, capsys, 45)
+    assert code == 2 and not out
+    assert err == "error: lgg would pair 2026 literals of equal sign and predicate (cap 420)\n"
+
+
 @pytest.mark.parametrize(
     "program,depth,needle",
     [

@@ -28,7 +28,7 @@ from hornlearn import (
     theta_subsumes,
 )
 from hornlearn.cases import numeral
-from hornlearn.logic import literal_variables
+from hornlearn.logic import term_variables
 from hornlearn.semantics import least_model_bounded
 from hornlearn.subsumption import clause_variant_equal, reduce_clause
 from hornlearn.syntax import render_clause
@@ -125,7 +125,7 @@ def test_lgg_single_shared_variable_across_literals():
 def literal_variables_of(c: Clause):
     out = set()
     for l in c.literals:
-        out |= literal_variables(l)
+        out |= term_variables(l.term)
     return out
 
 

@@ -21,6 +21,8 @@ from hornlearn.learner import _enforce_simplicity, _keep_learned, golem_step, pg
 from hornlearn.semantics import covers
 from hornlearn.subsumption import program_variant_equal
 
+from conftest import cumulative
+
 RULE_UP = "p(s(s(X0))) :- p(X0)."
 RULE_DOWN = "p(X0) :- p(s(s(X0)))."
 
@@ -61,7 +63,7 @@ def test_golem_ascending_all_stages_correct():
     cfg = config_for_stream(stream, System.GOLEM)
     records = run_stream(stream, cfg)
     for rec in records:
-        seen = stream.cumulative(rec.stage)
+        seen = cumulative(stream, rec.stage)
         assert all(covers(rec.program, seen, cfg.depth_bound).values())
 
 
@@ -147,7 +149,7 @@ def test_pgolem_every_stage_correct_on_both_orders():
         cfg = config_for_stream(stream, System.PRIORITIZED_GOLEM)
         records = run_stream(stream, cfg)
         for rec in records:
-            seen = stream.cumulative(rec.stage)
+            seen = cumulative(stream, rec.stage)
             assert all(covers(rec.program, seen, cfg.depth_bound).values())
 
 
@@ -254,7 +256,7 @@ def test_ground_atoms_policy_learns_chain_too():
     cfg = config_for_stream(stream, System.GOLEM, policy=SaturationPolicy.GROUND_ATOMS)
     records = run_stream(stream, cfg)
     final = records[-1].program
-    assert all(covers(final, stream.cumulative(4), cfg.depth_bound).values())
+    assert all(covers(final, cumulative(stream, 4), cfg.depth_bound).values())
 
 
 def test_random_streams_stay_correct_under_pgolem(rng):
@@ -265,7 +267,7 @@ def test_random_streams_stay_correct_under_pgolem(rng):
         cfg = config_for_stream(stream, System.PRIORITIZED_GOLEM)
         records = run_stream(stream, cfg)
         for rec in records:
-            seen = stream.cumulative(rec.stage)
+            seen = cumulative(stream, rec.stage)
             assert all(covers(rec.program, seen, cfg.depth_bound).values())
             assert rec.simple
 

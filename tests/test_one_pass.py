@@ -31,7 +31,7 @@ from hornlearn import (
 )
 from hornlearn.cases import even_atom, numeral
 from hornlearn.learner import _priority_sorted, _restart_stage, _strictly_precedes
-from hornlearn.logic import is_ground_literal, literal_variables
+from hornlearn.logic import term_variables
 from hornlearn.metric import priority_precedes
 from hornlearn.semantics import _universe_for, least_model_bounded
 from hornlearn.subsumption import reduce_clause, substitutions
@@ -59,7 +59,7 @@ SIGNATURES = [(SIG_UNARY, 3, 5), (SIG_BINARY, 2, 3)]
 
 def oracle_theta_subsumes(c: Clause, d: Clause):
     """The bare search, with theta_subsumes' literal orders and no rejection."""
-    c_lits = sorted(c.literals, key=lambda l: (len(literal_variables(l)), literal_order(l)))
+    c_lits = sorted(c.literals, key=lambda l: (len(term_variables(l.term)), literal_order(l)))
     d_lits = sorted(d.literals, key=literal_order)
     witness = next(substitutions(c_lits, [d_lits] * len(c_lits), {}), None)
     return witness is not None, witness
@@ -229,7 +229,7 @@ def test_reduce_program_index_equals_oracle_on_shared_ground_body_atoms(
         if isinstance(got, HornProgram):
             by_ground_subsumer += sum(
                 any(
-                    any(is_ground_literal(l) for l in d.literals)
+                    any(l.term.ground for l in d.literals)
                     and oracle_theta_subsumes(d, c)[0]
                     for d in got
                 )

@@ -15,11 +15,14 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 from itertools import count, permutations, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -156,7 +159,11 @@ def oracle_render_clause(c: Clause) -> str:
             for group in groups
             for lit in sorted(
                 group,
-                key=lambda l: (oracle_local_var_pattern(l), oracle_rendered_with_renaming([l])),
+                key=lambda l: (
+                    oracle_local_var_pattern(l),
+                    oracle_rendered_with_renaming([l]),
+                    oracle_render_literal(l),
+                ),
             )
         ]
         return oracle_rendered_with_renaming(flat)
@@ -230,6 +237,33 @@ def test_render_clause_equals_oracle_past_the_permutation_budget():
         text = render_clause(c)
         assert text == oracle_render_clause(c)
         assert ("X12" in text) == (twins == 12)
+
+
+def test_learned_text_past_the_permutation_budget_is_the_same_under_two_hash_seeds(tmp_path):
+    # Nine twin literals, 9! orderings: the fallback order must not follow
+    # the iteration order of the clause's literal set.
+    bg = tmp_path / "bg.pl"
+    bg.write_text("p(A, B, C, D, E, F, G, H, I) :- q(I), q(H), q(G), q(F), q(E), q(D), q(C), "
+                  "q(B), q(A).\n")
+    stream = tmp_path / "stream.pl"
+    stream.write_text("p(a).\np(b).\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outs = []
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-m", "hornlearn", "learn", "--system", "golem",
+             "--background", str(bg), "--examples", str(stream)],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[-1] == (
+        "p(X0, X1, X2, X3, X4, X5, X6, X7, X8) :- "
+        "q(X0), q(X1), q(X2), q(X3), q(X4), q(X5), q(X6), q(X7), q(X8)."
+    )
 
 
 def test_render_clause_minimum_compares_variable_names_as_text():

@@ -20,7 +20,7 @@ from hornlearn import (
 )
 from hornlearn import semantics
 from hornlearn.cases import even_atom, numeral
-from hornlearn.logic import apply_to_literal, literal_depth, literal_variables
+from hornlearn.logic import apply_to_literal, literal_depth, term_variables
 from hornlearn.semantics import (
     BoundedModel,
     _ground_clause_instances,
@@ -318,7 +318,7 @@ def random_program_with_unit(rng: random.Random, sig, depth: int) -> HornProgram
     bodies join atoms that arrived in different rounds."""
     clauses = [random_definite_clause(rng, sig, depth, max_body=3) for _ in range(3)]
     head = atom("r", random_term(rng, sig[0], depth, ground=False))
-    if not literal_variables(head):
+    if not term_variables(head.term):
         head = atom("r", rng.choice(VAR_POOL))
     return CHAIN.with_clauses(clauses + [fact(head)])
 

@@ -12,9 +12,9 @@ from itertools import product
 import pytest
 
 from hornlearn import Clause, Fn, HornProgram, Literal, bounded_universe, theta_subsumes
-from hornlearn.logic import apply_to_clause, apply_to_literal, literal_depth, literal_variables
+from hornlearn.logic import apply_to_clause, apply_to_literal, literal_depth, term_variables
 from hornlearn.semantics import _ground_clause_instances, _universe_for
-from hornlearn.subsumption import match_literals, substitutions
+from hornlearn.subsumption import substitutions
 from hornlearn.syntax import literal_order
 
 from conftest import (
@@ -27,6 +27,7 @@ from conftest import (
     random_literal,
     random_term,
 )
+from test_term_oracle import oracle_match_literals
 
 # (signature, term depth of the random inputs, depth bound of the steps).
 # SIG_BINARY stays shallow: its bounded universe grows doubly exponentially.
@@ -35,14 +36,14 @@ SIGNATURES = [(SIG_UNARY, 3, 5), (SIG_BINARY, 2, 3)]
 
 def oracle_theta_subsumes(c: Clause, d: Clause):
     """Recursive search that returns the first witness it completes."""
-    c_lits = sorted(c.literals, key=lambda l: (len(literal_variables(l)), literal_order(l)))
+    c_lits = sorted(c.literals, key=lambda l: (len(term_variables(l.term)), literal_order(l)))
     d_lits = sorted(d.literals, key=literal_order)
 
     def search(i, theta):
         if i == len(c_lits):
             return theta
         for target in d_lits:
-            extended = match_literals(c_lits[i], target, theta)
+            extended = oracle_match_literals(c_lits[i], target, theta)
             if extended is not None:
                 found = search(i + 1, extended)
                 if found is not None:
@@ -63,7 +64,7 @@ def oracle_ground_clause_instances(clause: Clause, atoms, universe) -> list[Lite
         next_bindings = []
         for theta in bindings:
             for a in atoms:
-                extended = match_literals(b, a, theta)
+                extended = oracle_match_literals(b, a, theta)
                 if extended is not None:
                     next_bindings.append(dict(extended))
         bindings = next_bindings
@@ -74,7 +75,7 @@ def oracle_ground_clause_instances(clause: Clause, atoms, universe) -> list[Lite
     heads = []
     for theta in bindings:
         instantiated = apply_to_literal(head, theta)
-        free = literal_variables(instantiated)
+        free = term_variables(instantiated.term)
         if not free:
             heads.append(instantiated)
             continue
@@ -138,7 +139,7 @@ def test_theta_subsumes_returns_the_oracle_witness(sig, depth, _bound):
 
 def _variable_headed_unit(rng: random.Random, sig, depth: int) -> Clause:
     head = random_atom(rng, sig, depth, ground=False)
-    if not literal_variables(head):
+    if not term_variables(head.term):
         head = Literal(True, Fn(head.predicate, (rng.choice(VAR_POOL),) + head.args[1:]))
     return Clause([head])
 

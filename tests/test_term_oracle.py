@@ -18,11 +18,10 @@ from hornlearn.logic import (
     _interned,
     apply_to_literal,
     apply_to_term,
-    is_ground_literal,
     subterms,
     term_variables,
 )
-from hornlearn.subsumption import match_literals, match_terms
+from hornlearn.subsumption import match_terms, substitutions
 
 from conftest import SIG_BINARY, SIG_UNARY, VAR_POOL, random_literal, random_term
 
@@ -231,12 +230,12 @@ def test_match_literals_equals_the_argument_loop(sig, max_depth):
         else:
             target = random_literal(rng, sig, max_depth, ground=rng.random() < 0.7)
         theta = random_theta(rng, functors, 2) if rng.random() < 0.3 else {}
-        got = match_literals(pattern, target, theta)
+        got = next(substitutions([pattern], [[target]], theta), None)
         assert got == oracle_match_literals(pattern, target, theta), (pattern, target, theta)
         if got is None:
             outcomes["sign miss" if pattern.positive != target.positive else "miss"] += 1
         else:
-            outcomes["ground hit" if is_ground_literal(pattern) else "hit"] += 1
+            outcomes["ground hit" if pattern.term.ground else "hit"] += 1
     assert len(outcomes) == 4 and min(outcomes.values()) > 10, outcomes
 
 
