@@ -12,6 +12,7 @@ two ground chain clauses come out as a single recursive rule.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from enum import Enum
 from itertools import product
 from math import prod
@@ -88,14 +89,18 @@ def lgg_clauses(c: Clause, d: Clause, table: PairTable | None = None) -> Clause:
     both inputs. More than _LGG_CAP pairs of literals of equal (sign,
     predicate, arity) are refused before any lgg is built.
     """
+    result = _literal_lggs(c, d, PairTable() if table is None else table)
+    return reduce_clause(result) if result.literals else result
+
+
+def _literal_lggs(c: Clause, d: Clause, table: PairTable) -> Clause:
+    """lgg_clauses before reduction: every defined pairwise literal lgg."""
     d_keys = Counter((l.positive, l.pred_key) for l in d.literals)
     pairs = sum(d_keys[l.positive, l.pred_key] for l in c.literals)
     if pairs > _LGG_CAP:
         raise ValueError(
             f"lgg would pair {pairs} literals of equal sign and predicate (cap {_LGG_CAP})"
         )
-    if table is None:
-        table = PairTable()
     table.reserve({v.name for v in c.variables() | d.variables()})
     out = []
     d_sorted = sorted(d.literals, key=literal_order)
@@ -104,18 +109,20 @@ def lgg_clauses(c: Clause, d: Clause, table: PairTable | None = None) -> Clause:
             g = lgg_literals(l, m, table)
             if g is not None:
                 out.append(g)
-    result = Clause(out)
-    if not result.literals:
-        return result
-    return reduce_clause(result)
+    return Clause(out)
 
 
 def lgg_clause_sets(
-    a: frozenset[Clause] | set[Clause], b: frozenset[Clause] | set[Clause]
+    a: frozenset[Clause] | set[Clause],
+    b: frozenset[Clause] | set[Clause],
+    keep: Callable[[Clause], object] = len,
 ) -> frozenset[Clause]:
     """Pair each clause of a with its distance-nearest clause of b (ties go to
-    the first in canonical order) and keep the nonempty lggs. Only clauses
-    tied at the least distance are rendered."""
+    the first in canonical order) and keep the reduced lggs that pass `keep`
+    (by default `len`: the nonempty ones). Only clauses tied at the least
+    distance are rendered. `keep` is asked before reduction, so an lgg it
+    drops is never reduced; it must give a clause and its reduction the same
+    answer."""
     if not a or not b:
         raise ValueError("lgg over clause sets requires nonempty inputs")
     out = set()
@@ -124,9 +131,9 @@ def lgg_clause_sets(
         least = min(dist for dist, _ in distances)
         ties = [d for dist, d in distances if dist == least]
         nearest = min(ties, key=render_clause) if len(ties) > 1 else ties[0]
-        g = lgg_clauses(c, nearest)
-        if g.literals:
-            out.add(g)
+        g = _literal_lggs(c, nearest, PairTable())
+        if keep(g):
+            out.add(reduce_clause(g))
     return frozenset(out)
 
 
@@ -140,8 +147,8 @@ class SaturationPolicy(Enum):
 # PAPER_TRACE saturation has one clause per choice of a literal from each rule.
 _SATURATION_CAP = 10_000
 # Literal pairs one clause lgg may build. Reducing the lgg costs about the
-# cube of the pair count: 401 pairs (golem's lgg against a ground-policy
-# saturation over 20 background facts) take about 1 s on a 2-core VM.
+# cube of the pair count: 401 pairs (the lgg of two ground-policy
+# saturations over 20 background facts) take about 1 s on a 2-core VM.
 _LGG_CAP = 420
 
 

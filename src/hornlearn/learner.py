@@ -21,12 +21,20 @@ Two drivers share the same machinery:
   snapshot before that stage, replaying the pending arrivals in ascending
   priority order. Extensions restrict saturation bodies to higher-priority
   atoms and drop generalized body literals whose subterms do not occur in
-  the head, so every snapshot is a simple program by construction.
+  the head, so every snapshot is a simple program by construction. The
+  restart work lives in one run state per run_stream call and dies with it:
+  the strict-precedence relation over arrival indices, each ordered pair
+  tested once, when an uncovered arrival first needs it, from which the
+  restart stage and the replay order are read; and a table from (program,
+  arrival) to the program after that replay step, so a replay that reaches
+  a step again does not ask coverage or extend again.
 
 Learned clauses are kept only if definite and range-restricted (head
 variables all occur in the body); degenerate generalizations such as
 p(X) :- p(Y) would otherwise either swallow the whole program under
-reduction or make bounded evaluation enumerate the universe.
+reduction or make bounded evaluation enumerate the universe. Reduction keeps
+a definite clause's range restriction as it was, so an lgg that fails it is
+dropped before it is reduced.
 """
 
 from __future__ import annotations
@@ -138,6 +146,15 @@ def _keep_learned(clauses: frozenset[Clause]) -> set[Clause]:
     return {c for c in clauses if c.is_definite and c.range_restricted}
 
 
+def _may_be_kept(c: Clause) -> bool:
+    """Whether _keep_learned may accept c's reduction. Reduction keeps a
+    definite clause definite and range-restricted exactly when it was: θ
+    maps the head to itself, so a body literal holding a head variable maps
+    to one that still holds it, and the reduced body is a subset of c's. A
+    clause with two heads may reduce to a definite one, so it passes."""
+    return not c.is_definite or c.range_restricted
+
+
 def _extend(current: HornProgram, e: Literal, cfg: LearnerConfig) -> HornProgram:
     """The shared uncovered-arrival step: saturate, generalize, retain the
     arrival as a fact if still needed, reduce. Every caller has already
@@ -151,7 +168,7 @@ def _extend(current: HornProgram, e: Literal, cfg: LearnerConfig) -> HornProgram
 
     hypothesis_clauses = frozenset(current.rules)
     if hypothesis_clauses:
-        new = lgg_clause_sets(hypothesis_clauses, sigma)
+        new = lgg_clause_sets(hypothesis_clauses, sigma, keep=_may_be_kept)
         if prioritized:
             new = frozenset(_enforce_simplicity(c) for c in new)
     else:
@@ -206,20 +223,25 @@ def pgolem_step(
     e: Literal,
     cfg: LearnerConfig,
     background: HornProgram = HornProgram(),
+    run: _PgolemRun | None = None,
 ) -> tuple[HornProgram, Action, int | None]:
     """One prioritized stage against the trace so far. `background` is the
-    stage -1 program (what a restart to stage 0 rebuilds on)."""
+    stage -1 program (what a restart to stage 0 rebuilds on). `run` holds
+    the restart work of the history's arrivals; without it, one is built
+    from the history."""
+    if run is None:
+        run = _PgolemRun()
+        for rec in history:
+            run.add(rec.example)
+    run.add(e)
     current = history[-1].program if history else background
     if is_covered(current, e, cfg.depth_bound):
         return current, Action.COVERED, None
 
-    arrivals = [rec.example for rec in history]
-    j = _restart_stage(arrivals, e)
+    j = run.restart_stage()
     if j is not None:
         base = history[j - 1].program if j > 0 else background
-        pending = arrivals[j:] + [e]
-        program = _replay(base, pending, cfg)
-        return program, Action.RESTARTED, j
+        return run.replay(base, j, cfg), Action.RESTARTED, j
 
     return _extend(current, e, cfg), Action.EXTENDED, None
 
@@ -231,58 +253,103 @@ def _strictly_precedes(a: Literal, b: Literal) -> bool:
     return literal_depth(a) <= literal_depth(b) and literal_subterms(a) < literal_subterms(b)
 
 
-def _restart_stage(arrivals: list[Literal], e: Literal) -> int | None:
-    """Least stage whose arrival the replay must reprocess.
+class _PgolemRun:
+    """The restart work of one pgolem run, each piece computed once.
 
-    The trigger is e strictly preceding some earlier arrival; the stage is
-    then closed transitively, because the replay set may itself precede
-    arrivals retained before the trigger stage (a restart must never freeze
-    background content that something pending has priority over, or the
-    result depends on arrival order). One backward scan finds the closure,
-    because the pending set arrivals[j:] + [e] only grows as j falls.
+    `later[i]` lists the arrivals that arrival i strictly precedes, and
+    `latest[i]` is the latest arrival that strictly precedes arrival i (-1
+    if none), both as arrival indices. They cover the arrivals up to the
+    last uncovered one: each ordered pair is tested once, when an uncovered
+    arrival first needs it. `steps` maps (program, arrival) to the program
+    after that replay step, covered or extended; both are deterministic, so
+    a replay that reaches a step again reads it instead.
     """
-    j = None
-    pending = [e]
-    for i in range(len(arrivals) - 1, -1, -1):
-        if any(_strictly_precedes(q, arrivals[i]) for q in pending):
-            j = i
-            pending = arrivals[i:] + [e]
-    return j
 
+    def __init__(self) -> None:
+        self.arrivals: list[Literal] = []
+        self.later: list[list[int]] = []
+        self.latest: list[int] = []
+        self.steps: dict[tuple[HornProgram, Literal], HornProgram] = {}
 
-def _priority_sorted(pending: list[Literal]) -> list[Literal]:
-    """Ascending priority (topological over the pre-order), ties broken by
-    arrival order. Duplicates keep their first arrival only. Kahn's sort on
-    the strict-precedence graph, with the ready arrivals in a min-heap on
-    arrival index, so each step takes the earliest arrival that nothing
-    remaining strictly precedes."""
-    distinct = list(dict.fromkeys(pending))
-    later = [[j for j, b in enumerate(distinct) if _strictly_precedes(a, b)] for a in distinct]
-    blockers = [0] * len(distinct)
-    for js in later:
-        for j in js:
-            blockers[j] += 1
-    ready = [j for j, n in enumerate(blockers) if not n]
-    ordered = []
-    while ready:
-        i = heappop(ready)
-        ordered.append(distinct[i])
-        for j in later[i]:
-            blockers[j] -= 1
-            if not blockers[j]:
-                heappush(ready, j)
-    return ordered
+    def add(self, e: Literal) -> None:
+        self.arrivals.append(e)
 
+    def _relate(self) -> None:
+        """Extend the relation to every arrival so far."""
+        arrivals, later, latest = self.arrivals, self.later, self.latest
+        for k in range(len(later), len(arrivals)):
+            b = arrivals[k]
+            later.append([])
+            latest.append(-1)
+            for i in range(k):
+                a = arrivals[i]
+                if _strictly_precedes(a, b):
+                    later[i].append(k)
+                    latest[k] = i
+                elif _strictly_precedes(b, a):
+                    later[k].append(i)
+                    latest[i] = k
 
-def _replay(base: HornProgram, pending: list[Literal], cfg: LearnerConfig) -> HornProgram:
-    """Rerun prioritized learning over the pending arrivals in ascending
-    priority order; sorted input never restarts again."""
-    program = base
-    for a in _priority_sorted(pending):
-        if is_covered(program, a, cfg.depth_bound):
-            continue
-        program = _extend(program, a, cfg)
-    return program
+    def restart_stage(self) -> int | None:
+        """Least stage whose arrival the replay must reprocess for the last
+        arrival e.
+
+        The trigger is e strictly preceding some earlier arrival; the stage is
+        then closed transitively, because the replay set may itself precede
+        arrivals retained before the trigger stage (a restart must never
+        freeze background content that something pending has priority over,
+        or the result depends on arrival order). One backward scan finds the
+        closure, because the pending set arrivals[j:] only grows as j falls:
+        arrival i joins it when its latest predecessor is already pending.
+        """
+        self._relate()
+        n = j = len(self.arrivals) - 1
+        for i in range(n - 1, -1, -1):
+            if self.latest[i] >= j:
+                j = i
+        return j if j < n else None
+
+    def priority_sorted(self, j: int) -> list[Literal]:
+        """arrivals[j:] in ascending priority (topological over the
+        pre-order), ties broken by arrival order; a duplicate keeps its
+        first arrival only. Kahn's sort on the stored strict-precedence
+        edges, with the ready arrivals in a min-heap on arrival index, so
+        each step takes the earliest arrival that nothing remaining strictly
+        precedes."""
+        self._relate()
+        arrivals, later = self.arrivals, self.later
+        first: dict[Literal, int] = {}
+        for k in range(j, len(arrivals)):
+            first.setdefault(arrivals[k], k)
+        blockers = dict.fromkeys(first.values(), 0)
+        for i in blockers:
+            for k in later[i]:
+                if k in blockers:
+                    blockers[k] += 1
+        ready = [k for k, n in blockers.items() if not n]
+        ordered = []
+        while ready:
+            i = heappop(ready)
+            ordered.append(arrivals[i])
+            for k in later[i]:
+                if k in blockers:
+                    blockers[k] -= 1
+                    if not blockers[k]:
+                        heappush(ready, k)
+        return ordered
+
+    def replay(self, base: HornProgram, j: int, cfg: LearnerConfig) -> HornProgram:
+        """Rerun prioritized learning from `base` over arrivals[j:] in
+        ascending priority order; sorted input never restarts again."""
+        program = base
+        for a in self.priority_sorted(j):
+            key = (program, a)
+            after = self.steps.get(key)
+            if after is None:
+                covered = is_covered(program, a, cfg.depth_bound)
+                after = self.steps[key] = program if covered else _extend(program, a, cfg)
+            program = after
+        return program
 
 
 def run_stream(
@@ -299,13 +366,14 @@ def run_stream(
             f"depth bound {cfg.depth_bound} is below the deepest stream example ({deepest})"
         )
     records: list[StageRecord] = []
+    run = _PgolemRun()
     for stage, e in enumerate(stream):
         if cfg.system is System.GOLEM:
             current = records[-1].program if records else background
             program, action = golem_step(current, e, cfg)
             restarted_from = None
         else:
-            program, action, restarted_from = pgolem_step(records, e, cfg, background)
+            program, action, restarted_from = pgolem_step(records, e, cfg, background, run)
         records.append(
             StageRecord(
                 stage=stage,

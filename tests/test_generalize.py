@@ -9,10 +9,12 @@ from hornlearn import (
     Clause,
     Fn,
     HornProgram,
+    Literal,
     PairTable,
     SaturationPolicy,
     Var,
     apply_to_clause,
+    apply_to_term,
     atom,
     clause_distance,
     fact,
@@ -28,12 +30,20 @@ from hornlearn import (
     theta_subsumes,
 )
 from hornlearn.cases import numeral
+from hornlearn.learner import _enforce_simplicity, _keep_learned, _may_be_kept
 from hornlearn.logic import term_variables
 from hornlearn.semantics import least_model_bounded
 from hornlearn.subsumption import clause_variant_equal, reduce_clause
 from hornlearn.syntax import render_clause
 
-from conftest import SIG_UNARY, random_definite_clause, random_simple_program
+from conftest import (
+    SIG_BINARY,
+    SIG_UNARY,
+    random_atom,
+    random_clause,
+    random_definite_clause,
+    random_simple_program,
+)
 
 ZERO = Fn("0")
 
@@ -207,6 +217,43 @@ def test_clause_set_lgg_equals_sorted_min_oracle(monkeypatch):
         assert Counter(rendered) == Counter(tied), (a, b)
         with_ties += bool(tied)
     assert with_ties > 50, with_ties
+
+
+@pytest.mark.parametrize("sig,depth", [(SIG_UNARY, 3), (SIG_BINARY, 2)])
+def test_reduction_keeps_definite_clauses_definite_and_range_restriction_both_ways(sig, depth):
+    rng = random.Random(1970)
+    unrestricted = reduced = 0
+    for _ in range(400):
+        c = random_definite_clause(rng, sig, depth, max_body=3)
+        if rng.random() < 0.5:
+            # A body literal with a variable bound: redundant beside its original.
+            lit = rng.choice([c.head] + list(c.negatives))
+            theta = {v: random_atom(rng, sig, depth).args[0] for v in term_variables(lit.term)}
+            c = Clause(c.literals | {Literal(False, apply_to_term(lit.term, theta))})
+        r = reduce_clause(c)
+        assert r.is_definite and r.range_restricted == c.range_restricted, c
+        unrestricted += not c.range_restricted
+        reduced += r != c
+    assert unrestricted > 50 and reduced > 40, (unrestricted, reduced)
+
+
+@pytest.mark.parametrize("sig,depth", [(SIG_UNARY, 3), (SIG_BINARY, 2)])
+def test_learner_drops_unrestricted_lggs_before_reducing_them(sig, depth):
+    # The learner's filter, asked before reduction, keeps what it kept when
+    # asked after. b holds saturation-like clauses, some with two heads.
+    rng = random.Random(2002)
+    skipped = 0
+    for _ in range(300):
+        a = {random_definite_clause(rng, sig, depth) for _ in range(rng.randint(1, 3))}
+        b = {random_definite_clause(rng, sig, depth) for _ in range(rng.randint(1, 2))}
+        b |= {random_clause(rng, sig, depth, max_literals=4) for _ in range(rng.randint(0, 2))}
+        early = lgg_clause_sets(a, b, keep=_may_be_kept)
+        late = lgg_clause_sets(a, b)
+        assert _keep_learned(early) == _keep_learned(late), (a, b)
+        simple = frozenset(map(_enforce_simplicity, early)), frozenset(map(_enforce_simplicity, late))
+        assert _keep_learned(simple[0]) == _keep_learned(simple[1]), (a, b)
+        skipped += len(late) - len(early)
+    assert skipped > 50, skipped
 
 
 def test_clause_set_lgg_rejects_empty_sets():

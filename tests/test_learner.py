@@ -306,9 +306,9 @@ def test_pgolem_does_not_restart_on_an_arrival_of_equal_priority(text):
 
 
 def test_strict_priority_changes_no_program_sequence(rng, monkeypatch):
-    # The pre-order read as strict (a != b and S(a) <= S(b)), with the sort it
-    # needed: equal-priority arrivals then restarted, and the replay rebuilt
-    # the same programs.
+    # The pre-order read as strict (a != b and S(a) <= S(b)) by the restart
+    # scan, with the selection sort it needed: equal-priority arrivals then
+    # restarted, and the replay rebuilt the same programs.
     from conftest import SIG_BINARY, SIG_UNARY, random_stream
     from hornlearn import learner
     from hornlearn.logic import literal_subterms
@@ -330,6 +330,16 @@ def test_strict_priority_changes_no_program_sequence(rng, monkeypatch):
     def old_strictly_precedes(a, b):
         return a != b and priority_precedes(a, b)
 
+    def old_restart_stage(run):
+        *arrivals, e = run.arrivals
+        j = None
+        pending = [e]
+        for i in range(len(arrivals) - 1, -1, -1):
+            if any(old_strictly_precedes(q, arrivals[i]) for q in pending):
+                j = i
+                pending = arrivals[i:] + [e]
+        return j
+
     def programs(stream):
         records = run_stream(stream, config_for_stream(stream, System.PRIORITIZED_GOLEM))
         texts = [render_program(rec.program) for rec in records]
@@ -341,8 +351,12 @@ def test_strict_priority_changes_no_program_sequence(rng, monkeypatch):
             stream = random_stream(rng, sig, depth)
             new, new_actions = programs(stream)
             with monkeypatch.context() as m:
-                m.setattr(learner, "_strictly_precedes", old_strictly_precedes)
-                m.setattr(learner, "_priority_sorted", old_priority_sorted)
+                m.setattr(learner._PgolemRun, "restart_stage", old_restart_stage)
+                m.setattr(
+                    learner._PgolemRun,
+                    "priority_sorted",
+                    lambda run, j: old_priority_sorted(run.arrivals[j:]),
+                )
                 old, old_actions = programs(stream)
             assert new == old, list(stream)
             relabelled += new_actions != old_actions

@@ -1,9 +1,9 @@
-"""Differential tests: the one-pass reductions, the backward restart scan,
-the one-read priority sort, the rejection tests of theta-subsumption and
-the one-matrix clause distance against the slow versions they replaced,
-kept here as oracles only. The oracles share neither the rejection tests,
-the candidate index, the support filter nor the model slot of
-`reduce_program`."""
+"""Differential tests: the one-pass reductions, the backward restart scan
+and the priority sort over pgolem's stored precedence relation, the
+rejection tests of theta-subsumption and the one-matrix clause distance
+against the slow versions they replaced, kept here as oracles only. The
+oracles share neither the rejection tests, the candidate index, the support
+filter nor the model slot of `reduce_program`."""
 
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from hornlearn import (
     theta_subsumes,
 )
 from hornlearn.cases import even_atom, numeral
-from hornlearn.learner import _priority_sorted, _restart_stage, _strictly_precedes
+from hornlearn.learner import _PgolemRun, _strictly_precedes
 from hornlearn.logic import term_variables
 from hornlearn.metric import priority_precedes
 from hornlearn.semantics import _universe_for, least_model_bounded
@@ -104,6 +104,15 @@ def oracle_reduce_clause(c: Clause) -> Clause:
                 changed = True
                 break
     return current
+
+
+def pgolem_run(arrivals: list[Literal]) -> _PgolemRun:
+    """A run state that has seen the arrivals, added one by one as
+    `run_stream` adds them."""
+    run = _PgolemRun()
+    for a in arrivals:
+        run.add(a)
+    return run
 
 
 def oracle_restart_stage(arrivals: list[Literal], e: Literal) -> int | None:
@@ -362,7 +371,7 @@ def test_restart_stage_backward_scan_equals_closure_oracle(rng, sig, max_depth, 
         pool = [random_atom(rng, sig, max_depth) for _ in range(6)]
         arrivals = [rng.choice(pool) for _ in range(rng.randint(0, 10))]
         e = rng.choice(pool)
-        got = _restart_stage(arrivals, e)
+        got = pgolem_run(arrivals + [e]).restart_stage()
         assert got == oracle_restart_stage(arrivals, e), (arrivals, e)
         triggers = [i for i, a in enumerate(arrivals) if _strictly_precedes(e, a)]
         if got is not None and got < min(triggers):
@@ -378,8 +387,12 @@ def test_priority_sorted_equals_selection_oracle(rng, sig, max_depth, depth_boun
         # Same subterms under another predicate: equivalent, not equal.
         pool += [Literal(True, Fn("r", a.args)) for a in pool[:2]]
         pending = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
-        got = _priority_sorted(pending)
+        run = pgolem_run(pending)
+        got = run.priority_sorted(0)
         assert got == oracle_priority_sorted(pending), pending
+        # A suffix, as a replay sorts it, over the relation of the whole list.
+        j = rng.randint(0, len(pending))
+        assert run.priority_sorted(j) == oracle_priority_sorted(pending[j:]), (pending, j)
         distinct = list(dict.fromkeys(pending))
         reordered += got != distinct
         equivalents += any(
@@ -402,6 +415,6 @@ def test_priority_sorted_equals_selection_oracle_on_96_descending_arrivals():
     ]
     # Equal-priority twins under another predicate keep their arrival order.
     pending += [Literal(True, Fn("q", x.args)) for x in pending[::5]]
-    got = _priority_sorted(pending)
+    got = pgolem_run(pending).priority_sorted(0)
     assert got == oracle_priority_sorted(pending)
     assert got[:3] == [Literal(True, Fn("p", (numeral(k),))) for k in range(3)]

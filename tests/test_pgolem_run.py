@@ -1,0 +1,221 @@
+"""pgolem's run state against the learner it replaced: a reference that
+re-tests precedence through the oracles on every restart and replays every
+step, plus the work, lifetime and thread-safety of the state itself."""
+
+from __future__ import annotations
+
+import gc
+import json
+import random
+import sys
+import threading
+import weakref
+from collections import Counter
+
+from hornlearn import (
+    Action,
+    ExampleStream,
+    HornProgram,
+    SaturationPolicy,
+    StageRecord,
+    System,
+    config_for_stream,
+    is_simple_program,
+    learner,
+    run_stream,
+    semantics,
+)
+from hornlearn.cases import even_atom
+from hornlearn.logic import fact
+
+from conftest import SIG_BINARY, SIG_UNARY, random_atom, random_simple_clause, random_stream
+from test_one_pass import oracle_priority_sorted, oracle_restart_stage
+
+
+def reference_pgolem(stream: ExampleStream, cfg, background: HornProgram) -> list[StageRecord]:
+    """pgolem with no stored relation and no step table: every restart asks
+    the oracles for its stage and order, and the replay asks coverage and
+    extends at every step."""
+    records: list[StageRecord] = []
+    for stage, e in enumerate(stream):
+        current = records[-1].program if records else background
+        restarted_from = None
+        if learner.is_covered(current, e, cfg.depth_bound):
+            program, action = current, Action.COVERED
+        else:
+            arrivals = [rec.example for rec in records]
+            j = oracle_restart_stage(arrivals, e)
+            if j is None:
+                program, action = learner._extend(current, e, cfg), Action.EXTENDED
+            else:
+                program = records[j - 1].program if j else background
+                for a in oracle_priority_sorted(arrivals[j:] + [e]):
+                    if not learner.is_covered(program, a, cfg.depth_bound):
+                        program = learner._extend(program, a, cfg)
+                action, restarted_from = Action.RESTARTED, j
+        records.append(
+            StageRecord(stage, e, action, restarted_from, program, is_simple_program(program))
+        )
+    return records
+
+
+def trace_bytes(fold, stream, cfg, background) -> bytes | tuple[type, str]:
+    """The trace as `learn --trace` writes it, or the refusal it ends with."""
+    try:
+        records = fold(stream, cfg, background)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return "".join(json.dumps(r.to_json_dict()) + "\n" for r in records).encode("utf-8")
+
+
+def random_background(rng: random.Random, sig, max_depth: int) -> HornProgram:
+    """One or two ground facts, sometimes with a range-restricted simple rule."""
+    clauses = [fact(random_atom(rng, sig, max_depth)) for _ in range(rng.randint(1, 2))]
+    while rng.random() < 0.5:
+        rule = random_simple_clause(rng, sig, max_depth, max_body=2)
+        if not rule.is_unit and rule.range_restricted:
+            clauses.append(rule)
+            break
+    return HornProgram(clauses)
+
+
+def stream_pool(rng: random.Random):
+    """Seeded streams, each once without and once with a background: random
+    atoms, half of them with an earlier arrival sent again, and shuffled even
+    numbers with one random atom, which restart, cover and restart again."""
+    streams = []
+    for sig, depth in ((SIG_UNARY, 5), (SIG_BINARY, 3)):
+        for _ in range(40):
+            arrivals = list(random_stream(rng, sig, depth, max_arrivals=9))
+            if rng.random() < 0.5:
+                arrivals.insert(rng.randint(1, len(arrivals)), rng.choice(arrivals))
+            streams.append((arrivals, sig, depth))
+    for _ in range(40):
+        arrivals = [even_atom(2 * k) for k in range(rng.randint(4, 7))]
+        arrivals.append(random_atom(rng, SIG_UNARY, 5))
+        rng.shuffle(arrivals)
+        streams.append((arrivals, SIG_UNARY, 5))
+    for arrivals, sig, depth in streams:
+        yield ExampleStream(arrivals), HornProgram()
+        yield ExampleStream(arrivals), random_background(rng, sig, depth)
+
+
+def test_pgolem_traces_equal_the_reference_learner(rng, monkeypatch):
+    work = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            work[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(learner, "is_covered", counted("asked", learner.is_covered))
+    monkeypatch.setattr(learner, "_extend", counted("asked", learner._extend))
+    duplicates = covered_between_restarts = refused = 0
+    for stream, background in stream_pool(rng):
+        for policy in SaturationPolicy:
+            cfg = config_for_stream(
+                stream, System.PRIORITIZED_GOLEM, policy, background=background.clauses
+            )
+            before = work["asked"]
+            want = trace_bytes(reference_pgolem, stream, cfg, background)
+            reference_work, before = work["asked"] - before, work["asked"]
+            got = trace_bytes(run_stream, stream, cfg, background)
+            assert got == want, (list(stream), background, policy)
+            work["saved"] += reference_work - (work["asked"] - before)
+            refused += not isinstance(got, bytes)
+            if isinstance(got, bytes):
+                actions = [json.loads(line)["action"] for line in got.splitlines()]
+                restarts = [i for i, a in enumerate(actions) if a.startswith("restarted")]
+                if restarts:
+                    covered_between_restarts += "covered" in actions[restarts[0] : restarts[-1]]
+        duplicates += len(set(stream)) < len(stream)
+    # The pool holds the cases the run state treats apart, and the step
+    # table answers some replay steps that the reference computes again.
+    assert duplicates > 60 and covered_between_restarts > 30, (duplicates, covered_between_restarts)
+    assert not refused and work["saved"] > 200, (refused, work)
+
+
+def test_strictly_precedes_is_asked_once_per_ordered_pair_of_arrivals(rng, monkeypatch):
+    asked = Counter()
+    original = learner._strictly_precedes
+
+    def counted(a, b):
+        asked[a, b] += 1
+        return original(a, b)
+
+    monkeypatch.setattr(learner, "_strictly_precedes", counted)
+    streams = [stream for stream, background in stream_pool(rng) if not background]
+    streams.append(ExampleStream(even_atom(2 * k) for k in reversed(range(48))))
+    restarted = 0
+    for stream in streams:
+        asked.clear()
+        records = run_stream(stream, config_for_stream(stream, System.PRIORITIZED_GOLEM))
+        restarted += any(r.action is Action.RESTARTED for r in records)
+        n = len(stream)
+        occurrences = Counter(stream)
+        assert sum(asked.values()) <= n * (n - 1), list(stream)
+        pairs = {(a, b): occurrences[a] * (occurrences[b] - (a == b)) for a in stream for b in stream}
+        assert all(count <= pairs[ab] for ab, count in asked.items()), list(stream)
+    assert restarted > 20
+    # Every pair of the descending stream is ordered, and each is tested once.
+    assert sum(asked.values()) == 48 * 47
+
+
+def test_programs_built_in_a_replay_die_with_the_run(monkeypatch):
+    built = []
+    extend = learner._extend
+
+    def remembered(*args):
+        program = extend(*args)
+        built.append(weakref.ref(program))
+        return program
+
+    monkeypatch.setattr(learner, "_extend", remembered)
+    stream = ExampleStream(even_atom(2 * k) for k in reversed(range(8)))
+    records = run_stream(stream, config_for_stream(stream, System.PRIORITIZED_GOLEM))
+    kept = {id(rec.program) for rec in records}
+    # The model slot keeps the last program it was asked about; it is
+    # module state of `semantics`, not of the run.
+    semantics._slot = None
+    gc.collect()
+    replay_only = [ref for ref in built if ref() is None or id(ref()) not in kept]
+    assert len(replay_only) > 10
+    assert all(ref() is None for ref in replay_only)
+
+
+def test_threads_folding_pgolem_streams_get_their_single_thread_traces():
+    rng = random.Random(2026)
+    descending = ExampleStream(even_atom(2 * k) for k in reversed(range(8)))
+    shuffled = [even_atom(2 * k) for k in range(8)]
+    rng.shuffle(shuffled)
+    streams = [descending, ExampleStream(shuffled)]
+    streams += [random_stream(rng, SIG_UNARY, 5, max_arrivals=9) for _ in range(6)]
+
+    def fold(stream):
+        cfg = config_for_stream(stream, System.PRIORITIZED_GOLEM)
+        return trace_bytes(run_stream, stream, cfg, HornProgram())
+
+    want = [fold(stream) for stream in streams]
+    wrong = []
+
+    def fold_all(seed: int) -> None:
+        order = list(range(len(streams)))
+        random.Random(seed).shuffle(order)
+        for i in order:
+            if fold(streams[i]) != want[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fold_all, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
