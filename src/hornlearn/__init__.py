@@ -16,8 +16,6 @@ from .learner import (
     StageRecord,
     System,
     config_for_stream,
-    golem_step,
-    pgolem_step,
     run_stream,
 )
 from .limits import LimitReport, Verdict, convergence_report, default_window

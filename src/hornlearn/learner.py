@@ -21,13 +21,15 @@ Two drivers share the same machinery:
   snapshot before that stage, replaying the pending arrivals in ascending
   priority order. Extensions restrict saturation bodies to higher-priority
   atoms and drop generalized body literals whose subterms do not occur in
-  the head, so every snapshot is a simple program by construction. The
-  restart work lives in one run state per run_stream call and dies with it:
-  the strict-precedence relation over arrival indices, each ordered pair
-  tested once, when an uncovered arrival first needs it, from which the
-  restart stage and the replay order are read; and a table from (program,
-  arrival) to the program after that replay step, so a replay that reaches
-  a step again does not ask coverage or extend again.
+  the head, so every snapshot is a simple program by construction. Every
+  stage steps one run state, which run_stream builds once from the config
+  and the background and which dies with the call. It holds the arrivals;
+  the snapshot before each stage, the base of a restart to that stage; the
+  strict-precedence relation over arrival indices, each ordered pair tested
+  once, when an uncovered arrival first needs it, from which the restart
+  stage and the replay order are read; and a table from (program, arrival)
+  to the program after that replay step, so a replay that reaches a step
+  again does not ask coverage or extend again.
 
 Learned clauses are kept only if definite and range-restricted (head
 variables all occur in the body); degenerate generalizations such as
@@ -218,32 +220,21 @@ def golem_step(
     return _extend(current, e, cfg), Action.EXTENDED
 
 
-def pgolem_step(
-    history: list[StageRecord],
-    e: Literal,
-    cfg: LearnerConfig,
-    background: HornProgram = HornProgram(),
-    run: _PgolemRun | None = None,
-) -> tuple[HornProgram, Action, int | None]:
-    """One prioritized stage against the trace so far. `background` is the
-    stage -1 program (what a restart to stage 0 rebuilds on). `run` holds
-    the restart work of the history's arrivals; without it, one is built
-    from the history."""
-    if run is None:
-        run = _PgolemRun()
-        for rec in history:
-            run.add(rec.example)
-    run.add(e)
-    current = history[-1].program if history else background
-    if is_covered(current, e, cfg.depth_bound):
-        return current, Action.COVERED, None
-
-    j = run.restart_stage()
-    if j is not None:
-        base = history[j - 1].program if j > 0 else background
-        return run.replay(base, j, cfg), Action.RESTARTED, j
-
-    return _extend(current, e, cfg), Action.EXTENDED, None
+def pgolem_step(run: _PgolemRun, e: Literal) -> tuple[HornProgram, Action, int | None]:
+    """One prioritized stage: e arrives after every arrival the run has
+    stepped through, and the program after it is the next stage's snapshot."""
+    current = run.snapshots[-1]
+    run.arrivals.append(e)
+    program, action, j = current, Action.COVERED, None
+    if not is_covered(current, e, run.cfg.depth_bound):
+        run.relate()
+        j = run.restart_stage()
+        if j is None:
+            program, action = _extend(current, e, run.cfg), Action.EXTENDED
+        else:
+            program, action = run.replay(j), Action.RESTARTED
+    run.snapshots.append(program)
+    return program, action, j
 
 
 def _strictly_precedes(a: Literal, b: Literal) -> bool:
@@ -254,27 +245,27 @@ def _strictly_precedes(a: Literal, b: Literal) -> bool:
 
 
 class _PgolemRun:
-    """The restart work of one pgolem run, each piece computed once.
+    """Everything a pgolem stage reads, each piece computed once.
 
-    `later[i]` lists the arrivals that arrival i strictly precedes, and
-    `latest[i]` is the latest arrival that strictly precedes arrival i (-1
-    if none), both as arrival indices. They cover the arrivals up to the
-    last uncovered one: each ordered pair is tested once, when an uncovered
-    arrival first needs it. `steps` maps (program, arrival) to the program
-    after that replay step, covered or extended; both are deterministic, so
-    a replay that reaches a step again reads it instead.
+    `snapshots[i]` is the program before stage i (stage 0's is the
+    background). `later[i]` lists the arrivals that arrival i strictly
+    precedes, and `latest[i]` is the latest arrival that strictly precedes
+    arrival i (-1 if none), both as arrival indices. They cover the arrivals
+    up to the last uncovered one: each ordered pair is tested once, when an
+    uncovered arrival first needs it. `steps` maps (program, arrival) to the
+    program after that replay step, covered or extended; both are
+    deterministic, so a replay that reaches a step again reads it instead.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, cfg: LearnerConfig, background: HornProgram) -> None:
+        self.cfg = cfg
         self.arrivals: list[Literal] = []
+        self.snapshots = [background]
         self.later: list[list[int]] = []
         self.latest: list[int] = []
         self.steps: dict[tuple[HornProgram, Literal], HornProgram] = {}
 
-    def add(self, e: Literal) -> None:
-        self.arrivals.append(e)
-
-    def _relate(self) -> None:
+    def relate(self) -> None:
         """Extend the relation to every arrival so far."""
         arrivals, later, latest = self.arrivals, self.later, self.latest
         for k in range(len(later), len(arrivals)):
@@ -302,7 +293,6 @@ class _PgolemRun:
         closure, because the pending set arrivals[j:] only grows as j falls:
         arrival i joins it when its latest predecessor is already pending.
         """
-        self._relate()
         n = j = len(self.arrivals) - 1
         for i in range(n - 1, -1, -1):
             if self.latest[i] >= j:
@@ -316,7 +306,6 @@ class _PgolemRun:
         edges, with the ready arrivals in a min-heap on arrival index, so
         each step takes the earliest arrival that nothing remaining strictly
         precedes."""
-        self._relate()
         arrivals, later = self.arrivals, self.later
         first: dict[Literal, int] = {}
         for k in range(j, len(arrivals)):
@@ -338,10 +327,11 @@ class _PgolemRun:
                         heappush(ready, k)
         return ordered
 
-    def replay(self, base: HornProgram, j: int, cfg: LearnerConfig) -> HornProgram:
-        """Rerun prioritized learning from `base` over arrivals[j:] in
-        ascending priority order; sorted input never restarts again."""
-        program = base
+    def replay(self, j: int) -> HornProgram:
+        """Rerun prioritized learning from the snapshot before stage j over
+        arrivals[j:] in ascending priority order; sorted input never
+        restarts again."""
+        program, cfg = self.snapshots[j], self.cfg
         for a in self.priority_sorted(j):
             key = (program, a)
             after = self.steps.get(key)
@@ -366,24 +356,16 @@ def run_stream(
             f"depth bound {cfg.depth_bound} is below the deepest stream example ({deepest})"
         )
     records: list[StageRecord] = []
-    run = _PgolemRun()
+    run = _PgolemRun(cfg, background) if cfg.system is System.PRIORITIZED_GOLEM else None
+    program = background
     for stage, e in enumerate(stream):
         if cfg.system is System.GOLEM:
-            current = records[-1].program if records else background
-            program, action = golem_step(current, e, cfg)
+            program, action = golem_step(program, e, cfg)
             restarted_from = None
         else:
-            program, action, restarted_from = pgolem_step(records, e, cfg, background, run)
-        records.append(
-            StageRecord(
-                stage=stage,
-                example=e,
-                action=action,
-                restarted_from=restarted_from,
-                program=program,
-                simple=is_simple_program(program),
-            )
-        )
+            program, action, restarted_from = pgolem_step(run, e)
+        simple = is_simple_program(program)
+        records.append(StageRecord(stage, e, action, restarted_from, program, simple))
     return records
 
 

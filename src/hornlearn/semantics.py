@@ -106,29 +106,48 @@ def bounded_universe(
 ) -> frozenset[Term]:
     """All ground terms over the signature with depth <= depth_bound.
     Depth counts nodes: constants have depth 1. U_d is the constants plus
-    every f(t...) with arguments in U_{d-1}, so its size, |constants| plus
-    |U_{d-1}|^arity per function, is known before it is built; a level over
+    every f(t...) with arguments in U_{d-1}, so |U_1| = |constants| and
+    |U_d| = |constants| + Σ |U_{d-1}|^arity over the functions. Every level's
+    size is computed by that rule before any term is built, and a level over
     _UNIVERSE_CAP is a ValueError. The bound is at least 1, as
     least_model_bounded checks."""
-    constants = frozenset(Fn(name) for name, arity in signature if arity == 0)
+    _check_universe(signature, depth_bound)
     functions = [(name, arity) for name, arity in signature if arity > 0]
-    if not constants:
-        raise ValueError("signature has no constant: the universe would be empty")
-
-    terms = constants
-    for d in range(2, depth_bound + 1):
-        size = len(constants) + sum(len(terms) ** arity for _, arity in functions)
-        if size == len(terms):
-            break
-        if size > _UNIVERSE_CAP:
-            raise ValueError(
-                f"bounded universe would hold {size} terms at depth {d} "
-                f"(cap {_UNIVERSE_CAP}); lower the depth bound"
-            )
+    terms = constants = frozenset(Fn(name) for name, arity in signature if arity == 0)
+    for _ in range(depth_bound - 1 if functions else 0):
         terms = constants.union(
             Fn(name, args) for name, arity in functions for args in product(terms, repeat=arity)
         )
     return terms
+
+
+def _check_universe(
+    signature: Iterable[tuple[str, int]], depth_bound: int, unbound: int = 1
+) -> None:
+    """Refuse by bounded_universe's sizing rule, building no term: a
+    signature with no constant, a level over _UNIVERSE_CAP, then, for a
+    clause with `unbound` unbound head variables, more instances per body
+    match than the cap."""
+    arities = [arity for _, arity in signature]
+    size = constants = arities.count(0)
+    if not constants:
+        raise ValueError("signature has no constant: the universe would be empty")
+    for d in range(2, depth_bound + 1):
+        level = constants + sum(size**arity for arity in arities if arity)
+        if level == size:
+            break
+        if level > _UNIVERSE_CAP:
+            raise ValueError(
+                f"bounded universe would hold {level} terms at depth {d} "
+                f"(cap {_UNIVERSE_CAP}); lower the depth bound"
+            )
+        size = level
+    if size**unbound > _UNIVERSE_CAP:
+        raise ValueError(
+            f"a clause with {unbound} unbound head variables would have "
+            f"{size}^{unbound} instances per body match (cap {_UNIVERSE_CAP}); "
+            "lower the depth bound"
+        )
 
 
 def _universe_for(
@@ -143,14 +162,9 @@ def _universe_for(
     unbound = max((len(c.unbound_head_variables) for c in p), default=0)
     if not unbound:
         return frozenset()
-    universe = bounded_universe(signature if signature is not None else p.signature(), depth_bound)
-    if len(universe) ** unbound > _UNIVERSE_CAP:
-        raise ValueError(
-            f"a clause with {unbound} unbound head variables would have "
-            f"{len(universe)}^{unbound} instances per body match (cap {_UNIVERSE_CAP}); "
-            "lower the depth bound"
-        )
-    return universe
+    signature = p.signature() if signature is None else signature
+    _check_universe(signature, depth_bound, unbound)
+    return bounded_universe(signature, depth_bound)
 
 
 def _ground_clause_instances(

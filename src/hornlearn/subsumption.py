@@ -63,11 +63,16 @@ def substitutions(
     recurses on the remaining patterns. This is the one search behind both
     theta-subsumption (the same clause at every position) and T_P grounding
     (old, new or all atoms by position, for semi-naive evaluation). A pattern
-    literal matches a target of its sign whose atom its atom matches."""
+    literal matches a target of its sign whose atom its atom matches; a
+    ground one matches only itself, so it is one membership test."""
     if not patterns:
         yield theta
         return
     pattern = patterns[0]
+    if pattern.term.ground:
+        if pattern in targets[0]:
+            yield from substitutions(patterns[1:], targets[1:], theta)
+        return
     for target in targets[0]:
         if pattern.positive != target.positive:
             continue

@@ -17,7 +17,13 @@ from hornlearn import (
 )
 from hornlearn.cases import even_ascending_stream, even_atom, even_reordered_stream
 import hornlearn.syntax as syntax
-from hornlearn.learner import _enforce_simplicity, _keep_learned, golem_step, pgolem_step
+from hornlearn.learner import (
+    _enforce_simplicity,
+    _keep_learned,
+    _PgolemRun,
+    golem_step,
+    pgolem_step,
+)
 from hornlearn.semantics import covers
 from hornlearn.subsumption import program_variant_equal
 
@@ -205,18 +211,26 @@ def test_golem_rotates_a_fact_of_equal_priority():
     ]
 
 
+def pgolem_run_after(arrivals, cfg: LearnerConfig) -> _PgolemRun:
+    """A run stepped by hand through the arrivals, from the empty program."""
+    run = _PgolemRun(cfg, HornProgram())
+    for e in arrivals:
+        pgolem_step(run, e)
+    return run
+
+
 def test_pgolem_step_no_restart_without_priority_inversion():
     cfg = LearnerConfig(system=System.PRIORITIZED_GOLEM, depth_bound=12)
-    records = run_stream(ExampleStream((even_atom(0), even_atom(2))), cfg)
-    _, action, frm = pgolem_step(records, even_atom(4), cfg)
+    run = pgolem_run_after((even_atom(0), even_atom(2)), cfg)
+    _, action, frm = pgolem_step(run, even_atom(4))
     assert action is Action.EXTENDED
     assert frm is None
 
 
 def test_pgolem_step_restart_picks_least_stage():
     cfg = LearnerConfig(system=System.PRIORITIZED_GOLEM, depth_bound=12)
-    records = run_stream(ExampleStream((even_atom(6), even_atom(8))), cfg)
-    _, action, frm = pgolem_step(records, even_atom(2), cfg)
+    run = pgolem_run_after((even_atom(6), even_atom(8)), cfg)
+    _, action, frm = pgolem_step(run, even_atom(2))
     assert action is Action.RESTARTED
     assert frm == 0
 

@@ -17,6 +17,7 @@ from hornlearn import (
     ExampleStream,
     Fn,
     HornProgram,
+    LearnerConfig,
     Literal,
     System,
     apply_to_clause,
@@ -107,11 +108,11 @@ def oracle_reduce_clause(c: Clause) -> Clause:
 
 
 def pgolem_run(arrivals: list[Literal]) -> _PgolemRun:
-    """A run state that has seen the arrivals, added one by one as
-    `run_stream` adds them."""
-    run = _PgolemRun()
-    for a in arrivals:
-        run.add(a)
+    """A run state whose relation covers the arrivals, as `pgolem_step`
+    leaves it at an uncovered last arrival; no stage is learned."""
+    run = _PgolemRun(LearnerConfig(1, System.PRIORITIZED_GOLEM), HornProgram())
+    run.arrivals.extend(arrivals)
+    run.relate()
     return run
 
 

@@ -59,6 +59,18 @@ def reference_pgolem(stream: ExampleStream, cfg, background: HornProgram) -> lis
     return records
 
 
+def hand_stepped(stream: ExampleStream, cfg, background: HornProgram) -> list[StageRecord]:
+    """pgolem stepped by hand through one run state, one record per stage."""
+    run = learner._PgolemRun(cfg, background)
+    records = []
+    for stage, e in enumerate(stream):
+        program, action, restarted_from = learner.pgolem_step(run, e)
+        records.append(
+            StageRecord(stage, e, action, restarted_from, program, is_simple_program(program))
+        )
+    return records
+
+
 def trace_bytes(fold, stream, cfg, background) -> bytes | tuple[type, str]:
     """The trace as `learn --trace` writes it, or the refusal it ends with."""
     try:
@@ -148,19 +160,49 @@ def test_strictly_precedes_is_asked_once_per_ordered_pair_of_arrivals(rng, monke
     monkeypatch.setattr(learner, "_strictly_precedes", counted)
     streams = [stream for stream, background in stream_pool(rng) if not background]
     streams.append(ExampleStream(even_atom(2 * k) for k in reversed(range(48))))
-    restarted = 0
-    for stream in streams:
-        asked.clear()
-        records = run_stream(stream, config_for_stream(stream, System.PRIORITIZED_GOLEM))
-        restarted += any(r.action is Action.RESTARTED for r in records)
-        n = len(stream)
-        occurrences = Counter(stream)
-        assert sum(asked.values()) <= n * (n - 1), list(stream)
-        pairs = {(a, b): occurrences[a] * (occurrences[b] - (a == b)) for a in stream for b in stream}
-        assert all(count <= pairs[ab] for ab, count in asked.items()), list(stream)
-    assert restarted > 20
-    # Every pair of the descending stream is ordered, and each is tested once.
-    assert sum(asked.values()) == 48 * 47
+    # By hand as by run_stream: each stage reads the one run's relation.
+    for fold in (run_stream, hand_stepped):
+        restarted = 0
+        for stream in streams:
+            asked.clear()
+            cfg = config_for_stream(stream, System.PRIORITIZED_GOLEM)
+            records = fold(stream, cfg, HornProgram())
+            restarted += any(r.action is Action.RESTARTED for r in records)
+            n = len(stream)
+            occurrences = Counter(stream)
+            assert sum(asked.values()) <= n * (n - 1), (fold, list(stream))
+            pairs = {
+                (a, b): occurrences[a] * (occurrences[b] - (a == b)) for a in stream for b in stream
+            }
+            assert all(count <= pairs[ab] for ab, count in asked.items()), (fold, list(stream))
+        assert restarted > 20
+        # Every pair of the descending stream is ordered, and each is tested once.
+        assert sum(asked.values()) == 48 * 47
+
+
+def test_stepping_pgolem_by_hand_gives_the_records_of_run_stream(rng):
+    for stream, background in stream_pool(rng):
+        cfg = config_for_stream(stream, System.PRIORITIZED_GOLEM, background=background.clauses)
+        got = hand_stepped(stream, cfg, background)
+        assert got == run_stream(stream, cfg, background), (list(stream), background)
+        assert trace_bytes(hand_stepped, stream, cfg, background) == trace_bytes(
+            run_stream, stream, cfg, background
+        )
+
+
+def test_only_a_pgolem_run_builds_a_run_state(monkeypatch):
+    built = []
+    run_state = learner._PgolemRun
+    monkeypatch.setattr(learner, "_PgolemRun", lambda *args: built.append(args) or run_state(*args))
+    stream = ExampleStream(even_atom(2 * k) for k in reversed(range(6)))
+    background = HornProgram([fact(even_atom(20))])
+    configs = {
+        system: config_for_stream(stream, system, background=background.clauses) for system in System
+    }
+    run_stream(stream, configs[System.GOLEM], background)
+    assert built == []
+    run_stream(stream, configs[System.PRIORITIZED_GOLEM], background)
+    assert built == [(configs[System.PRIORITIZED_GOLEM], background)]
 
 
 def test_programs_built_in_a_replay_die_with_the_run(monkeypatch):

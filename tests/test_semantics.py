@@ -84,6 +84,83 @@ def test_universe_refuses_a_level_over_the_cap():
         bounded_universe({("0", 0), ("f", 2)}, 6)
 
 
+def oracle_universe_for(signature, depth_bound: int, unbound: int) -> frozenset:
+    """The universe built level by level, each level's size checked as it is
+    reached, then the per-match check on the built universe's size: the
+    build-then-check refusals that the sizing by arithmetic replaced."""
+    constants = frozenset(Fn(name) for name, arity in signature if arity == 0)
+    functions = [(name, arity) for name, arity in signature if arity > 0]
+    if not constants:
+        raise ValueError("signature has no constant: the universe would be empty")
+    terms = constants
+    for d in range(2, depth_bound + 1):
+        size = len(constants) + sum(len(terms) ** arity for _, arity in functions)
+        if size == len(terms):
+            break
+        if size > semantics._UNIVERSE_CAP:
+            raise ValueError(
+                f"bounded universe would hold {size} terms at depth {d} "
+                f"(cap {semantics._UNIVERSE_CAP}); lower the depth bound"
+            )
+        terms = constants.union(
+            Fn(name, args) for name, arity in functions for args in product(terms, repeat=arity)
+        )
+    if len(terms) ** unbound > semantics._UNIVERSE_CAP:
+        raise ValueError(
+            f"a clause with {unbound} unbound head variables would have "
+            f"{len(terms)}^{unbound} instances per body match (cap {semantics._UNIVERSE_CAP}); "
+            "lower the depth bound"
+        )
+    return terms
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_universe_sizing_equals_the_build_then_check_oracle(rng, monkeypatch):
+    # A small cap keeps the oracle's builds cheap; both sides read it.
+    monkeypatch.setattr(semantics, "_UNIVERSE_CAP", 2_000)
+    refusals = set()
+    for _ in range(500):
+        names = rng.sample("abcdefg", rng.randint(1, 5))
+        signature = {(name, rng.choice((0, 0, 1, 2, 3))) for name in names}
+        if rng.random() < 0.3:
+            signature.add((names[0], rng.randint(1, 2)))  # one name, two arities
+        depth_bound = rng.randint(0, 7)
+        unbound = rng.randint(1, 3)
+        head = "r(" + ", ".join(f"Y{i}" for i in range(unbound)) + ")."
+        want = outcome(oracle_universe_for, signature, depth_bound, unbound)
+        assert outcome(bounded_universe, signature, depth_bound) == outcome(
+            oracle_universe_for, signature, depth_bound, 1
+        ), (signature, depth_bound)
+        assert outcome(_universe_for, parse_program(head), depth_bound, frozenset(signature)) == want, (
+            signature,
+            depth_bound,
+            unbound,
+        )
+        if isinstance(want, str):
+            refusals.add(want.split(" ")[0])
+    # Every refusal is drawn: no constant, a level over the cap, per match.
+    assert refusals == {"signature", "bounded", "a"}, refusals
+
+
+def test_universe_refusals_build_no_term(monkeypatch):
+    built = []
+    monkeypatch.setattr(semantics, "Fn", lambda *args: built.append(args) or Fn(*args))
+    with pytest.raises(ValueError, match="458330 terms at depth 6"):
+        bounded_universe({("0", 0), ("f", 2)}, 6)
+    # The level refusal is tried before the per-match one.
+    with pytest.raises(ValueError, match="458330 terms at depth 6"):
+        _universe_for(parse_program("r(Y0, Y1)."), 6, frozenset({("0", 0), ("f", 2)}))
+    with pytest.raises(ValueError, match=r"677\^2 instances per body match"):
+        _universe_for(parse_program("r(Y0, Y1)."), 5, frozenset({("0", 0), ("f", 2)}))
+    assert built == []
+
+
 # --- immediate consequence step ----------------------------------------------
 
 

@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from hornlearn import Clause, Fn, HornProgram, Literal, bounded_universe, theta_subsumes
+from hornlearn import Clause, Fn, HornProgram, Literal, Var, bounded_universe, subsumption, theta_subsumes
 from hornlearn.logic import apply_to_clause, apply_to_literal, literal_depth, term_variables
 from hornlearn.semantics import _ground_clause_instances, _universe_for
 from hornlearn.subsumption import substitutions
@@ -174,3 +174,27 @@ def test_tp_step_equals_the_oracle_step(sig, depth, bound):
                 joined += len(c.body) >= 2
                 enumerated += bool(c.body) and not c.range_restricted
     assert grew > 100 and joined > 10 and enumerated > 10, (grew, joined, enumerated)
+
+
+def test_ground_pattern_literals_are_tested_by_membership(monkeypatch):
+    # T_P over golem's ground-policy saturation of p(a) against 60 facts,
+    # p(a) :- q(c0), ..., q(c59): a ground body literal matches only
+    # itself, so grounding it asks no term match at all.
+    calls = []
+    original = subsumption.match_terms
+    monkeypatch.setattr(subsumption, "match_terms", lambda *a: calls.append(a) or original(*a))
+    facts = [Literal(True, Fn("q", (Fn(f"c{i}"),))) for i in range(60)]
+    head = Literal(True, Fn("p", (Fn("a"),)))
+    rule = Clause([head] + [f.negated() for f in facts])
+    known = frozenset(facts)
+    assert list(_ground_clause_instances(rule, frozenset(), known, known, frozenset())) == [head]
+    # Old half and new half: the one instance, at its first position in new.
+    old, new = frozenset(facts[:30]), frozenset(facts[30:])
+    assert list(_ground_clause_instances(rule, old, new, known, frozenset())) == [head]
+    assert calls == []
+    # A non-ground literal still matches term by term, after the ground ones.
+    x = Var("X")
+    mixed = Clause([Literal(True, Fn("p", (x,))), facts[0].negated(), Literal(False, Fn("q", (x,)))])
+    heads = set(_ground_clause_instances(mixed, frozenset(), known, known, frozenset()))
+    assert heads == {Literal(True, Fn("p", (Fn(f"c{i}"),))) for i in range(60)}
+    assert len(calls) == 60 * 2  # q(X) against each fact, once per split
