@@ -119,18 +119,23 @@ def lgg_clause_sets(
 ) -> frozenset[Clause]:
     """Pair each clause of a with its distance-nearest clause of b (ties go to
     the first in canonical order) and keep the reduced lggs that pass `keep`
-    (by default `len`: the nonempty ones). Only clauses tied at the least
-    distance are rendered. `keep` is asked before reduction, so an lgg it
-    drops is never reduced; it must give a clause and its reduction the same
-    answer."""
-    if not a or not b:
-        raise ValueError("lgg over clause sets requires nonempty inputs")
+    (by default `len`: the nonempty ones). A b of one clause is nearest to
+    every clause, so no distance is computed; otherwise only clauses tied at
+    the least distance are rendered. `keep` is asked before reduction, so an
+    lgg it drops is never reduced; it must give a clause and its reduction
+    the same answer. Distance is undefined for the empty clause, so an empty
+    set or an empty clause in either is refused."""
+    if not a or not b or not all(a) or not all(b):
+        raise ValueError("lgg over clause sets requires nonempty sets of nonempty clauses")
     out = set()
     for c in a:
-        distances = [(clause_distance(c, d), d) for d in b]
-        least = min(dist for dist, _ in distances)
-        ties = [d for dist, d in distances if dist == least]
-        nearest = min(ties, key=render_clause) if len(ties) > 1 else ties[0]
+        if len(b) == 1:
+            (nearest,) = b
+        else:
+            distances = [(clause_distance(c, d), d) for d in b]
+            least = min(dist for dist, _ in distances)
+            ties = [d for dist, d in distances if dist == least]
+            nearest = min(ties, key=render_clause) if len(ties) > 1 else ties[0]
         g = _literal_lggs(c, nearest, PairTable())
         if keep(g):
             out.add(reduce_clause(g))

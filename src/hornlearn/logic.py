@@ -6,14 +6,23 @@ A functor identity is the pair (name, arity): the same name at two arities is
 two distinct symbols. Term depth counts nodes, so constants and variables have
 depth 1.
 
-Terms are hash-consed (Filliâtre & Conchon, "Type-safe modular
-hash-consing", 2006): `Var` and `Fn` return the existing node for an equal
-term, so `==` is identity. A node stores its hash, depth and groundness,
+Terms, literals, clauses and programs are hash-consed (Filliâtre & Conchon,
+"Type-safe modular hash-consing", 2006): `Var`, `Fn`, `Literal`, `Clause`
+and `HornProgram` return the existing node for an equal value, so `==` is
+identity. A node is keyed on its constructor arguments, (name,), (functor,
+args), (positive, term), (literals,) or (clauses,), and stores the key's
+hash: the hash these classes computed when they were frozen dataclasses, so
+sets iterate as they did. A term node also stores its depth and groundness,
 computed from its children when it is built, its subterm and variable sets
 once first asked for, and its own-name text (variables by their own names)
-once it is first rendered; `syntax` fills that slot. The intern table holds
-its nodes weakly: a term nothing else refers to leaves it, and its stored
-sets and text with it.
+once it is first rendered; `syntax` fills that slot. A clause node stores
+its head/body views and its canonical text once first asked for, so a clause
+rebuilt equal to one still alive reads them. A program node checks that its
+clauses are definite, and records whether they are all range-restricted,
+once, when it is built; a refused program is never interned. The intern
+tables hold their nodes weakly: a node nothing else refers to leaves its
+table, and what was stored on it goes with it. Programs have their own
+table, because the empty program's key equals the empty clause's.
 
 A literal is a sign and an atom, and the atom is a term rooted at the
 predicate symbol (Plotkin 1970), so matching, lgg, distance and rendering of
@@ -32,15 +41,17 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 _interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_programs: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _intern_lock = threading.Lock()
 _set = object.__setattr__
 
 
-class _Term:
-    """A node is keyed on its constructor arguments, (name,) or (functor,
-    args), and the key's hash is the node's hash."""
+class _Node:
+    """A node is keyed on its constructor arguments (module docstring), and
+    the key's hash is the node's hash."""
 
     __slots__ = ("_key", "_hash", "__weakref__")
+    _table = _interned
 
     def __hash__(self) -> int:
         return self._hash
@@ -54,20 +65,19 @@ class _Term:
         return (type(self), self._key)
 
     @classmethod
-    def _intern(cls, key: tuple) -> "Term":
-        """Build the node for key unless another thread just has."""
+    def _intern(cls, key: tuple):
+        """Build the node for key and store it, unless another thread has
+        stored one first: then that one is the node. A _fill that raises
+        leaves the table as it was."""
+        node = object.__new__(cls)
+        node._fill(*key)
+        _set(node, "_key", key)
+        _set(node, "_hash", hash(key))
         with _intern_lock:
-            node = _interned.get(key)
-            if node is None:
-                node = object.__new__(cls)
-                node._fill(*key)
-                _set(node, "_key", key)
-                _set(node, "_hash", hash(key))
-                _interned[key] = node
-            return node
+            return cls._table.setdefault(key, node)
 
 
-class Var(_Term):
+class Var(_Node):
     """A logic variable. Names start with an uppercase letter in text syntax."""
 
     __slots__ = ("name",)
@@ -84,7 +94,7 @@ class Var(_Term):
         return f"Var(name={self.name!r})"
 
 
-class Fn(_Term):
+class Fn(_Node):
     """A compound term f(t1, ..., tn). Constants are 0-argument compounds."""
 
     __slots__ = ("functor", "args", "depth", "ground", "_subterms", "_variables", "_text")
@@ -157,16 +167,25 @@ def apply_to_term(t: Term, theta: Substitution) -> Term:
         return theta.get(t, t)
     if t.ground:
         return t
-    return Fn(t.functor, tuple(apply_to_term(a, theta) for a in t.args))
+    return Fn(t.functor, tuple([apply_to_term(a, theta) for a in t.args]))
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(_Node):
     """A possibly negated atom: a sign and the atom as a term rooted at the
     predicate. Predicate identity is (predicate, arity)."""
 
-    positive: bool
-    term: Fn
+    __slots__ = ("positive", "term")
+
+    def __new__(cls, positive: bool, term: Fn) -> "Literal":
+        key = (positive, term)
+        return _interned.get(key) or cls._intern(key)
+
+    def _fill(self, positive: bool, term: Fn) -> None:
+        _set(self, "positive", positive)
+        _set(self, "term", term)
+
+    def __repr__(self) -> str:
+        return f"Literal(positive={self.positive!r}, term={self.term!r})"
 
     @property
     def predicate(self) -> str:
@@ -217,8 +236,7 @@ def apply_to_literal(lit: Literal, theta: Substitution) -> Literal:
     return Literal(lit.positive, apply_to_term(lit.term, theta))
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(_Node):
     """A finite duplicate-free set of literals, read as a disjunction.
 
     A clause is definite iff it has exactly one positive literal; that literal
@@ -226,10 +244,20 @@ class Clause:
     primary; the head/body view is derived.
     """
 
-    literals: frozenset[Literal]
+    # The instance dict holds the views cached below and the canonical text
+    # `syntax.render_clause` stores.
+    __slots__ = ("literals", "__dict__")
 
-    def __init__(self, literals: Iterable[Literal]):
-        object.__setattr__(self, "literals", frozenset(literals))
+    def __new__(cls, literals: Iterable[Literal]) -> "Clause":
+        key = (frozenset(literals),)
+        node = _interned.get(key)
+        return cls._intern(key) if node is None else node
+
+    def _fill(self, literals: frozenset[Literal]) -> None:
+        _set(self, "literals", literals)
+
+    def __repr__(self) -> str:
+        return f"Clause(literals={self.literals!r})"
 
     def __iter__(self) -> Iterator[Literal]:
         return iter(self.literals)
@@ -237,8 +265,8 @@ class Clause:
     def __len__(self) -> int:
         return len(self.literals)
 
-    # The views below are cached: a Clause is immutable, and T_P asks for
-    # head and body once per clause and round.
+    # The views below are cached on the node: a replay or an lgg that
+    # rebuilds an equal clause reads them.
     @cached_property
     def positives(self) -> tuple[Literal, ...]:
         return tuple(l for l in self.literals if l.positive)
@@ -309,18 +337,28 @@ def apply_to_clause(c: Clause, theta: Substitution) -> Clause:
     return Clause(apply_to_literal(l, theta) for l in c.literals)
 
 
-@dataclass(frozen=True)
-class HornProgram:
-    """A finite set of definite clauses. Ground unit clauses are facts."""
+class HornProgram(_Node):
+    """A finite set of definite clauses. Ground unit clauses are facts.
+    `range_restricted` (every clause is) is recorded when the node is built,
+    since every model query asks it."""
 
-    clauses: frozenset[Clause]
+    __slots__ = ("clauses", "range_restricted")
+    _table = _programs
 
-    def __init__(self, clauses: Iterable[Clause] = ()):
-        cs = frozenset(clauses)
-        for c in cs:
+    def __new__(cls, clauses: Iterable[Clause] = ()) -> "HornProgram":
+        key = (frozenset(clauses),)
+        node = _programs.get(key)
+        return cls._intern(key) if node is None else node
+
+    def _fill(self, clauses: frozenset[Clause]) -> None:
+        for c in clauses:
             if not c.is_definite:
                 raise ValueError(f"non-definite clause in Horn program: {c}")
-        object.__setattr__(self, "clauses", cs)
+        _set(self, "clauses", clauses)
+        _set(self, "range_restricted", all(c.range_restricted for c in clauses))
+
+    def __repr__(self) -> str:
+        return f"HornProgram(clauses={self.clauses!r})"
 
     def __iter__(self) -> Iterator[Clause]:
         return iter(self.clauses)
@@ -345,10 +383,6 @@ class HornProgram:
 
     def without_clauses(self, gone: Iterable[Clause]) -> "HornProgram":
         return HornProgram(self.clauses - frozenset(gone))
-
-    @property
-    def range_restricted(self) -> bool:
-        return all(c.range_restricted for c in self.clauses)
 
     def signature(self) -> frozenset[tuple[str, int]]:
         """Functor symbols (name, arity) occurring in the program's terms."""

@@ -22,16 +22,18 @@ Rule heads whose instantiated depth exceeds the bound are not derived
 fragment; the model counts the distinct heads dropped this way.
 
 `least_model_bounded` keeps the last model it built in one slot, keyed on
-the program, the depth bound and the grounding universe described below.
-That universe is empty unless a clause is not range-restricted, so the
-widened signatures of `examples_model` share one entry. A query equal to the
-key is a hit. A query that adds clauses to the key's program, under the same
-bound and universe, is a warm start (Gupta, Mumick & Subrahmanian, SIGMOD
-1993): T_P is monotone, so the fixpoint may start from the stored model,
-firing the added clauses over its atoms and then every rule on what they
-add. Anything else is built from empty. The slot is one immutable tuple,
-read once and replaced whole, so concurrent callers see an old entry or a
-new one, each true of its key. It lives only as long as the process.
+the program, the depth bound and the signature of the grounding universe
+described below. Only a clause that is not range-restricted grounds over
+that universe; otherwise the key holds no signature, so the widened
+signatures of `examples_model` share one entry. The universe is built only
+when the key misses. A query equal to the key is a hit. A query that adds
+clauses to the key's program, under the same bound and signature, is a warm
+start (Gupta, Mumick & Subrahmanian, SIGMOD 1993): T_P is monotone, so the
+fixpoint may start from the stored model, firing the added clauses over its
+atoms and then every rule on what they add. Anything else is built from
+empty. The slot is one immutable tuple, read once and replaced whole, so
+concurrent callers see an old entry or a new one, each true of its key. It
+lives only as long as the process.
 
 The fixpoint also records the support set: the heads of one T_P step of the
 program's clauses other than ground facts over its model, dropped heads
@@ -188,6 +190,9 @@ def _ground_clause_instances(
     splits = [[old] * i + [new] + [known] * (len(body) - i - 1) for i in range(len(body))] or [[]]
     for targets in splits:
         for theta in substitutions(body, targets, {}):
+            if not free:
+                yield apply_to_literal(head, theta)
+                continue
             for values in product(universe, repeat=len(free)):
                 yield apply_to_literal(head, theta | dict(zip(free, values)))
 
@@ -200,16 +205,18 @@ def least_model_bounded(
     """The least fixpoint of the immediate-consequence step truncated at the
     bound (the bounded base is finite and the step is inflationary and
     monotone, so it exists), computed semi-naively and kept in the model
-    slot on (p, depth_bound, universe). A bound below 1 is a ValueError: no
+    slot on (p, depth_bound, signature). A bound below 1 is a ValueError: no
     atom has depth 0."""
     return _least_model(p, depth_bound, signature).model
 
 
 class _Entry(NamedTuple):
-    """The model slot (module docstring); the model carries the bound."""
+    """The model slot (module docstring); the model carries the bound. The
+    signature is the one the universe is built over, None when every clause
+    is range-restricted."""
 
     program: HornProgram
-    universe: frozenset[Term]
+    signature: frozenset[tuple[str, int]] | None
     model: BoundedModel
     dropped: frozenset[Literal]
     support: frozenset[Literal]
@@ -221,31 +228,36 @@ _slot: _Entry | None = None
 def _least_model(
     p: HornProgram, depth_bound: int, signature: frozenset[tuple[str, int]] | None
 ) -> _Entry:
-    """Every model query's way to the slot: check the bound, find the
-    universe, then a hit returns the slot; a slot whose program is a clause
-    subset of p under the same bound and universe is the base of a warm
-    start; anything else builds from empty. The result replaces the slot."""
+    """Every model query's way to the slot: check the bound and find the
+    signature the universe is built over, then a hit returns the slot; a
+    slot whose program is a clause subset of p under the same bound and
+    signature is the base of a warm start; anything else builds from empty.
+    Only a miss builds the universe. The result replaces the slot."""
     global _slot
     if depth_bound < 1:
         raise ValueError("depth bound must be a positive integer")
-    universe = _universe_for(p, depth_bound, signature)
+    if p.range_restricted:
+        signature = None
+    elif signature is None:
+        signature = p.signature()
     base = _slot
     if (
         base is None
         or base.model.depth_bound != depth_bound
-        or base.universe != universe
+        or base.signature != signature
         or not base.program.clauses <= p.clauses
     ):
         base = None
     elif len(base.program) == len(p):
         return base
-    _slot = entry = _fixpoint(p, depth_bound, universe, base)
+    universe = _universe_for(p, depth_bound, signature)
+    _slot = entry = _Entry(p, signature, *_fixpoint(p, depth_bound, universe, base))
     return entry
 
 
 def _fixpoint(
     p: HornProgram, depth_bound: int, universe: frozenset[Term], base: _Entry | None
-) -> _Entry:
+) -> tuple[BoundedModel, frozenset[Literal], frozenset[Literal]]:
     """From empty, round 0 fires every clause on nothing, so only unit
     clauses derive; from a base, round 0 fires the clauses the base lacks
     over the base's atoms. Every later round fires the rules on the atoms
@@ -258,6 +270,10 @@ def _fixpoint(
     else:
         new, dropped, support = base.model.atoms, set(base.dropped), set(base.support)
         clauses = p.clauses - base.program.clauses
+    rules = p.rules
+    # An atom's term counts the predicate node: depth_bound + 1 is a
+    # literal depth of depth_bound.
+    deepest = depth_bound + 1
     while True:
         known = old | new
         fresh: set[Literal] = set()
@@ -268,14 +284,14 @@ def _fixpoint(
                     support.add(h)
                 if h in known or h in fresh or h in dropped:
                     continue
-                if literal_depth(h) <= depth_bound:
+                if h.term.depth <= deepest:
                     fresh.add(h)
                 else:
                     dropped.add(h)
         if not fresh:
             model = BoundedModel(depth_bound, known, truncated=len(dropped))
-            return _Entry(p, universe, model, frozenset(dropped), frozenset(support))
-        old, new, clauses = known, frozenset(fresh), p.rules
+            return model, frozenset(dropped), frozenset(support)
+        old, new, clauses = known, frozenset(fresh), rules
 
 
 def reduce_program(p: HornProgram, depth_bound: int) -> HornProgram:

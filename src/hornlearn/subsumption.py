@@ -64,21 +64,25 @@ def substitutions(
     theta-subsumption (the same clause at every position) and T_P grounding
     (old, new or all atoms by position, for semi-naive evaluation). A pattern
     literal matches a target of its sign whose atom its atom matches; a
-    ground one matches only itself, so it is one membership test."""
-    if not patterns:
+    ground one matches only itself, so it is one membership test, and a run
+    of ground patterns is tested in a loop: only a non-ground pattern
+    recurses, so a long ground rule body does not reach the recursion
+    limit."""
+    for i, pattern in enumerate(patterns):
+        if not pattern.term.ground:
+            break
+        if pattern not in targets[i]:
+            return
+    else:
         yield theta
         return
-    pattern = patterns[0]
-    if pattern.term.ground:
-        if pattern in targets[0]:
-            yield from substitutions(patterns[1:], targets[1:], theta)
-        return
-    for target in targets[0]:
+    rest, rest_targets = patterns[i + 1:], targets[i + 1:]
+    for target in targets[i]:
         if pattern.positive != target.positive:
             continue
         extended = match_terms(pattern.term, target.term, theta)
         if extended is not None:
-            yield from substitutions(patterns[1:], targets[1:], extended)
+            yield from substitutions(rest, rest_targets, extended)
 
 
 def theta_subsumes(c: Clause, d: Clause) -> tuple[bool, Substitution | None]:

@@ -510,6 +510,14 @@ def test_learn_ground_policy_over_the_lgg_cap_is_a_usage_error(tmp_path, capsys)
     assert err == "error: lgg would pair 2026 literals of equal sign and predicate (cap 420)\n"
 
 
+def test_learn_ground_policy_over_1000_facts_reaches_the_lgg_cap(tmp_path, capsys):
+    # Stage 0 grounds a saturation clause with a 1,000-atom body, and stage
+    # 1 pairs it with the only other one: neither may recurse per literal.
+    code, out, err = learn_ground_policy_over_facts(tmp_path, capsys, 1000)
+    assert code == 2 and not out
+    assert err == "error: lgg would pair 1000001 literals of equal sign and predicate (cap 420)\n"
+
+
 @pytest.mark.parametrize(
     "program,depth,needle",
     [

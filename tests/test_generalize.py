@@ -261,6 +261,23 @@ def test_clause_set_lgg_rejects_empty_sets():
         lgg_clause_sets(set(), {PI_1})
 
 
+def test_clause_set_lgg_rejects_empty_clauses():
+    # With one clause in b no distance is computed, and distance is what
+    # refused an empty clause.
+    for a, b in [({Clause(())}, {PI_1}), ({PI_1}, {Clause(())}), ({PI_1}, {PI_1, Clause(())})]:
+        with pytest.raises(ValueError, match="nonempty clauses"):
+            lgg_clause_sets(a, b)
+
+
+def test_clause_set_lgg_pairs_with_a_lone_clause_without_a_distance(monkeypatch):
+    rng = random.Random(1001)
+    monkeypatch.setattr(generalize, "clause_distance", None)
+    for _ in range(50):
+        a = {random_definite_clause(rng, SIG_UNARY, 3) for _ in range(rng.randint(1, 3))}
+        d = random_definite_clause(rng, SIG_UNARY, 3)
+        assert lgg_clause_sets(a, {d}) == oracle_lgg_clause_sets(a, {d})
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 100_000))
 def test_lgg_properties_random(seed):

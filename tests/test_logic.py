@@ -1,6 +1,9 @@
 import copy
 import gc
 import pickle
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -18,7 +21,8 @@ from hornlearn import (
     subterms,
 )
 from hornlearn.cases import even_atom, numeral
-from hornlearn.logic import _interned, literal_subterms, term_variables
+from hornlearn.logic import _interned, _programs, literal_subterms, term_variables
+from hornlearn.syntax import render_clause
 
 from conftest import cumulative
 
@@ -160,3 +164,80 @@ def test_unpickling_an_unreferenced_term_interns_it_again():
     t = pickle.loads(data)
     assert t is Fn("pickled", (Fn("only_here"),))
     assert t.depth == 2 and t.ground
+
+
+def test_the_empty_clause_is_not_the_empty_program():
+    # Both key on (frozenset(),); programs have their own table.
+    empty_clause, empty_program = Clause(()), HornProgram()
+    assert type(empty_clause) is Clause and type(empty_program) is HornProgram
+    assert empty_clause is Clause([]) and empty_program is HornProgram(())
+    assert empty_clause != empty_program
+    assert hash(empty_clause) == hash(empty_program) == hash((frozenset(),))
+    assert len(empty_clause) == len(empty_program) == 0
+
+
+def test_pickle_and_copy_give_back_the_literal_clause_and_program_nodes():
+    program = parse_program("p(0).\np(s(s(X))) :- p(X), q(f(X, 0)).")
+    rule = next(c for c in program if not c.is_unit)
+    for x in (rule.head, rule.negatives[0], rule, program):
+        assert pickle.loads(pickle.dumps(x)) is x
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+
+
+def test_unreferenced_clauses_and_programs_leave_their_tables():
+    lit = atom("only_in_this_clause", Var("X"), Fn("k"))
+    c = Clause((lit, neg("q", Var("X"))))
+    p = HornProgram((c,))
+    render_clause(c)  # the stored text and views live on the node
+    assert c.head is lit and c.unbound_head_variables == frozenset()
+    assert _interned[(c.literals,)] is c and _programs[(p.clauses,)] is p
+    refs = [weakref.ref(x) for x in (lit, c, p)]
+    del lit, c, p
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+    assert not any(
+        isinstance(k[0], frozenset) and any("only_in_this_clause" in repr(x) for x in k[0])
+        for k in list(_interned.keys()) + list(_programs.keys())
+    )
+
+
+def test_threads_building_the_same_clauses_get_one_node_each():
+    def build() -> list:
+        # Fresh nodes all the way down, so every thread misses the tables.
+        out = []
+        for i in range(300):
+            x = Var(f"Thread{i}")
+            c = Clause((atom(f"race{i}", x, Fn(f"c{i}")), neg(f"q{i}", x)))
+            out += [c, HornProgram((c, fact(atom(f"race{i}", Fn(f"c{i}"), Fn(f"c{i}")))))]
+        return out
+
+    barrier = threading.Barrier(8)
+    results: list = [None] * 8
+
+    def run(k: int) -> None:
+        barrier.wait()
+        results[k] = build()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for nodes in zip(*results):
+        assert len({id(n) for n in nodes}) == 1
+    assert results[0] == build()
+
+
+def test_a_non_definite_program_is_refused_every_time():
+    two_heads = Clause((atom("p", ZERO), atom("q", ZERO)))
+    clauses = frozenset((two_heads, fact(atom("r", ZERO))))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="non-definite"):
+            HornProgram(clauses)
+        assert (clauses,) not in _programs

@@ -468,6 +468,22 @@ def test_memo_keeps_example_signatures_apart_when_the_universe_is_live(model_mem
     assert model_memo == {"cold": 3}
 
 
+def test_a_memo_hit_builds_no_universe(model_memo, monkeypatch):
+    # The key holds the signature, so a hit needs no universe to compare.
+    built = []
+    original = semantics.bounded_universe
+    monkeypatch.setattr(semantics, "bounded_universe", lambda *a: built.append(a) or original(*a))
+    p = parse_program("r(Y).\nq(f(a, g(a))).")
+    first = least_model_bounded(p, 4)
+    assert len(first.atoms) == 184 and len(built) == 1
+    assert least_model_bounded(p, 4) is first
+    assert least_model_bounded(p, 4, p.signature()) is first
+    assert len(built) == 1 and model_memo == {"cold": 1, "hit": 2}
+    # A wider signature is another key: a miss, and a universe built for it.
+    wider = least_model_bounded(p, 4, p.signature() | {("b", 0)})
+    assert len(built) == 2 and len(wider.atoms) > len(first.atoms)
+
+
 def test_memo_shares_one_entry_across_signatures_when_no_universe_is_needed(model_memo):
     a, b = atom("p", Fn("a")), atom("p", Fn("b"))
     assert not examples_model(CHAIN_UP, [a], 7).atoms & {a, b}

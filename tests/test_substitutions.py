@@ -198,3 +198,16 @@ def test_ground_pattern_literals_are_tested_by_membership(monkeypatch):
     heads = set(_ground_clause_instances(mixed, frozenset(), known, known, frozenset()))
     assert heads == {Literal(True, Fn("p", (Fn(f"c{i}"),))) for i in range(60)}
     assert len(calls) == 60 * 2  # q(X) against each fact, once per split
+
+
+def test_a_run_of_ground_patterns_is_tested_in_a_loop():
+    # 3,000 ground patterns around one non-ground one, past the recursion
+    # limit: only the non-ground pattern recurses, and it still tries its
+    # targets in their iteration order.
+    facts = [Literal(True, Fn("q", (Fn(f"c{i}"),))) for i in range(3000)]
+    x = Var("X")
+    patterns = facts[:1500] + [Literal(True, Fn("q", (x,)))] + facts[1500:]
+    known = frozenset(facts)
+    got = list(substitutions(patterns, [known] * len(patterns), {}))
+    assert got == [{x: f.args[0]} for f in known]
+    assert list(substitutions(patterns[::-1] + [facts[0].negated()], [known] * 3002, {})) == []

@@ -1,6 +1,8 @@
 """Differential tests: the hash-consed term core against the frozen
 dataclasses and recursive walks it replaced (structural hash and equality,
-depth, groundness, subterm and variable sets, substitution, matching), and
+depth, groundness, subterm and variable sets, substitution, matching), the
+literal, clause and program nodes against the frozen dataclasses they were
+(hash, repr, structural equality), and
 literal matching and lgg, which walk the atom as one term, against the loops
 over the arguments they replaced; all kept here as oracles only."""
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from hornlearn import Fn, Literal, PairTable, Var, lgg_literals, lgg_terms
+from hornlearn import Clause, Fn, HornProgram, Literal, PairTable, Var, lgg_literals, lgg_terms
 from hornlearn.logic import (
     _interned,
     apply_to_literal,
@@ -23,7 +25,15 @@ from hornlearn.logic import (
 )
 from hornlearn.subsumption import match_terms, substitutions
 
-from conftest import SIG_BINARY, SIG_UNARY, VAR_POOL, random_literal, random_term
+from conftest import (
+    SIG_BINARY,
+    SIG_UNARY,
+    VAR_POOL,
+    random_clause,
+    random_horn_program,
+    random_literal,
+    random_term,
+)
 
 SIGNATURES = [(SIG_UNARY, 6), (SIG_BINARY, 4)]
 
@@ -39,6 +49,22 @@ class OracleFn:
     args: tuple = ()
 
 
+@dataclass(frozen=True)
+class OracleLiteral:
+    positive: bool
+    term: OracleFn
+
+
+@dataclass(frozen=True)
+class OracleClause:
+    literals: frozenset
+
+
+@dataclass(frozen=True)
+class OracleProgram:
+    clauses: frozenset
+
+
 def to_oracle(t):
     if isinstance(t, Var):
         return OracleVar(t.name)
@@ -50,6 +76,23 @@ def from_oracle(t):
     if isinstance(t, OracleVar):
         return Var(t.name)
     return Fn(t.functor, tuple(from_oracle(a) for a in t.args))
+
+
+def literal_to_oracle(l) -> OracleLiteral:
+    return OracleLiteral(l.positive, to_oracle(l.term))
+
+
+def clause_to_oracle(c) -> OracleClause:
+    return OracleClause(frozenset(map(literal_to_oracle, c.literals)))
+
+
+def program_to_oracle(p) -> OracleProgram:
+    return OracleProgram(frozenset(map(clause_to_oracle, p.clauses)))
+
+
+def oracle_repr(x) -> str:
+    """The dataclass repr under the name of the node class."""
+    return repr(x).replace("Oracle", "").replace("Program(", "HornProgram(")
 
 
 def oracle_depth(t) -> int:
@@ -269,3 +312,49 @@ def test_intern_table_drops_unreferenced_terms():
     assert ("probe_leaf", ()) not in _interned
     assert ("ProbeVar",) not in _interned
     assert not any(key[0] == "probe" for key in list(_interned.keys()))
+
+
+@pytest.mark.parametrize("sig,max_depth", SIGNATURES)
+def test_literal_clause_and_program_nodes_hash_and_print_as_the_dataclasses(sig, max_depth):
+    rng = random.Random(2006)
+    programs = [random_horn_program(rng, sig, max_depth) for _ in range(150)]
+    clauses = [random_clause(rng, sig, max_depth) for _ in range(300)]
+    clauses += [c for p in programs for c in p]
+    for c in clauses:
+        assert hash(c) == hash(clause_to_oracle(c))
+        # The oracle wraps the node's own set, whose order repr shows.
+        assert repr(c) == oracle_repr(OracleClause(c.literals))
+        for l in c:
+            assert hash(l) == hash(literal_to_oracle(l))
+            assert repr(l) == oracle_repr(literal_to_oracle(l))
+    for p in programs:
+        assert hash(p) == hash(program_to_oracle(p))
+        assert repr(p) == oracle_repr(OracleProgram(p.clauses))
+    assert not all(c.is_definite for c in clauses)
+
+
+@pytest.mark.parametrize("sig,max_depth", SIGNATURES)
+def test_equal_literals_clauses_and_programs_are_one_node(sig, max_depth):
+    rng = random.Random(1970)
+    clauses = [random_clause(rng, sig, max_depth, max_literals=2) for _ in range(150)]
+    programs = [random_horn_program(rng, sig, 2, max_clauses=2) for _ in range(150)]
+    equal = 0
+    for pool, oracle in ((clauses, clause_to_oracle), (programs, program_to_oracle)):
+        for _ in range(1500):
+            x, y = rng.choice(pool), rng.choice(pool)
+            assert (x == y) == (oracle(x) == oracle(y)) == (x is y)
+            equal += x == y
+    assert 0 < equal < 3000
+    for c in clauses:
+        # Rebuilt from its structure, in another order: the node itself.
+        rebuilt = [Literal(l.positive, from_oracle(to_oracle(l.term))) for l in c.literals]
+        assert all(m is l for m, l in zip(rebuilt, c.literals))
+        assert Clause(reversed(rebuilt)) is c
+        with pytest.raises(AttributeError):
+            c.literals = frozenset()
+        with pytest.raises(AttributeError):
+            rebuilt[0].positive = not rebuilt[0].positive
+    for p in programs:
+        assert HornProgram(list(p)[::-1]) is p and p.with_clauses(()) is p
+        with pytest.raises(AttributeError):
+            p.clauses = frozenset()
