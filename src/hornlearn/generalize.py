@@ -26,7 +26,7 @@ from .logic import (
     Var,
 )
 from .metric import clause_distance
-from .semantics import examples_model
+from .semantics import least_model_bounded
 from .subsumption import reduce_clause
 from .syntax import literal_order, render_clause, render_literal
 
@@ -178,7 +178,7 @@ def saturate(
         raise ValueError(f"saturation needs a ground positive example: {render_literal(e)}")
 
     if policy is SaturationPolicy.GROUND_ATOMS:
-        model = examples_model(background, (e,), depth_bound)
+        model = least_model_bounded(background, depth_bound, (e,))
         return frozenset((Clause([q.negated() for q in model.atoms] + [e]),))
 
     rules = background.rules

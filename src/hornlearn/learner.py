@@ -25,7 +25,7 @@ Two drivers share the same machinery:
   stage steps one run state, which run_stream builds once from the config
   and the background and which dies with the call. It holds the arrivals;
   the snapshot before each stage, the base of a restart to that stage; the
-  strict-precedence relation over arrival indices, each ordered pair tested
+  strictly_precedes relation over arrival indices, each ordered pair tested
   once, when an uncovered arrival first needs it, from which the restart
   stage and the replay order are read; and a table from (program, arrival)
   to the program after that replay step, so a replay that reaches a step
@@ -58,10 +58,8 @@ from .logic import (
     HornProgram,
     Literal,
     fact,
-    literal_depth,
-    literal_subterms,
 )
-from .metric import is_simple_program, priority_precedes
+from .metric import is_simple_program, priority_precedes, strictly_precedes
 from .semantics import default_depth_bound, is_covered, reduce_program
 from .syntax import parse_atom, parse_program, render_literal, render_program
 
@@ -237,13 +235,6 @@ def pgolem_step(run: _PgolemRun, e: Literal) -> tuple[HornProgram, Action, int |
     return program, action, j
 
 
-def _strictly_precedes(a: Literal, b: Literal) -> bool:
-    """a ≺ b but not b ≺ a: a's subterms are a proper subset of b's. Arrivals
-    of equal priority (p(a, b) and p(b, a), or p(a) and q(a)) are unordered.
-    A deeper a is rejected before either subterm set is built."""
-    return literal_depth(a) <= literal_depth(b) and literal_subterms(a) < literal_subterms(b)
-
-
 class _PgolemRun:
     """Everything a pgolem stage reads, each piece computed once.
 
@@ -274,10 +265,10 @@ class _PgolemRun:
             latest.append(-1)
             for i in range(k):
                 a = arrivals[i]
-                if _strictly_precedes(a, b):
+                if strictly_precedes(a, b):
                     later[i].append(k)
                     latest[k] = i
-                elif _strictly_precedes(b, a):
+                elif strictly_precedes(b, a):
                     later[k].append(i)
                     latest[i] = k
 

@@ -21,7 +21,7 @@ from enum import Enum
 
 from .learner import StageRecord
 from .logic import Clause, HornProgram, Literal
-from .semantics import BoundedModel, examples_model
+from .semantics import BoundedModel, least_model_bounded
 from .syntax import render_clause, render_literal, render_program
 
 SCHEMA_VERSION = 1
@@ -146,7 +146,7 @@ def convergence_report(
         verdict = Verdict.DIVERGENT
 
     candidate = HornProgram(by_key[k] for k in liminf_keys)
-    model = examples_model(candidate, streamed_examples, depth_bound)
+    model = least_model_bounded(candidate, depth_bound, frozenset(streamed_examples))
     correctness = {e: e in model.atoms for e in streamed_examples}
     return LimitReport(
         window_size=w,

@@ -1,6 +1,6 @@
 """
-Distances on terms, literals and clauses; the priority pre-order on literals;
-the simplicity predicate on clauses and programs.
+Distances on terms, literals and clauses; the priority pre-order on literals
+and its strict part; the simplicity predicate on clauses and programs.
 
 The term distance takes values in {0} ∪ {1/m}: 0 for equal terms, 1 when the
 root symbols differ, and d/(d+1) for equal roots where d is the maximum
@@ -74,10 +74,18 @@ def clause_distance(c: Clause, d: Clause) -> Distance:
 
 def priority_precedes(l: Literal, m: Literal) -> bool:
     """l ≺ m: every subterm occurring in l occurs in m (l has the higher
-    priority). Reflexive and transitive. A literal deeper than m has an
-    argument deeper than every term of m, so it is rejected before either
-    subterm set is built."""
+    priority). Reflexive and transitive. Here and in strictly_precedes, a
+    literal deeper than m has an argument deeper than every term of m, so it
+    is rejected before either subterm set is built."""
     return literal_depth(l) <= literal_depth(m) and literal_subterms(l) <= literal_subterms(m)
+
+
+def strictly_precedes(l: Literal, m: Literal) -> bool:
+    """l ≺ m but not m ≺ l: l's subterms are a proper subset of m's. Literals
+    of equal priority (p(a, b) and p(b, a), or p(a) and q(a)) are unordered.
+    It tests the subsets itself, so priority_precedes counts only its own
+    calls."""
+    return literal_depth(l) <= literal_depth(m) and literal_subterms(l) < literal_subterms(m)
 
 
 def is_simple(c: Clause) -> bool:

@@ -23,17 +23,16 @@ fragment; the model counts the distinct heads dropped this way.
 
 `least_model_bounded` keeps the last model it built in one slot, keyed on
 the program, the depth bound and the signature of the grounding universe
-described below. Only a clause that is not range-restricted grounds over
-that universe; otherwise the key holds no signature, so the widened
-signatures of `examples_model` share one entry. The universe is built only
-when the key misses. A query equal to the key is a hit. A query that adds
-clauses to the key's program, under the same bound and signature, is a warm
-start (Gupta, Mumick & Subrahmanian, SIGMOD 1993): T_P is monotone, so the
-fixpoint may start from the stored model, firing the added clauses over its
-atoms and then every rule on what they add. Anything else is built from
-empty. The slot is one immutable tuple, read once and replaced whole, so
-concurrent callers see an old entry or a new one, each true of its key. It
-lives only as long as the process.
+described below, None when the program is range-restricted, so the queries
+of such a program share one entry whatever literals widen them. The universe
+is built only when the key misses. A query equal to the key is a hit. A
+query that adds clauses to the key's program, under the same bound and
+signature, is a warm start (Gupta, Mumick & Subrahmanian, SIGMOD 1993): T_P
+is monotone, so the fixpoint may start from the stored model, firing the
+added clauses over its atoms and then every rule on what they add. Anything
+else is built from empty. The slot is one immutable tuple, read once and
+replaced whole, so concurrent callers see an old entry or a new one, each
+true of its key. It lives only as long as the process.
 
 The fixpoint also records the support set: the heads of one T_P step of the
 program's clauses other than ground facts over its model, dropped heads
@@ -49,8 +48,10 @@ input's support set: a superset of the result's filters as soundly.
 
 Clauses that are not range-restricted (a head variable missing from the
 body, as in the unit clause r(Y).) are grounded by enumerating the bounded
-universe over the program's signature, widened by the examples' symbols in
-`examples_model`. Learned programs never need this fallback, but user programs
+universe over the query's language: the program's symbols plus those in
+the arguments of the literals the query is widened by (a coverage query's
+examples). A range-restricted program has no such clause and grounds over
+nothing. Learned programs never need this fallback, but user programs
 (`hornlearn model --program` on r(Y). r(a).) and the random simple programs
 that the acceptance tests compare against a naive oracle do, so it stays;
 _UNIVERSE_CAP keeps its cost bounded.
@@ -152,23 +153,6 @@ def _check_universe(
         )
 
 
-def _universe_for(
-    p: HornProgram,
-    depth_bound: int,
-    signature: frozenset[tuple[str, int]] | None = None,
-) -> frozenset[Term]:
-    """The universe that grounds head variables not bound by their body;
-    empty when every clause is range-restricted, as learned programs are.
-    An explicit signature widens the term language beyond the program's own
-    symbols (the ambient language is fixed, not per-program)."""
-    unbound = max((len(c.unbound_head_variables) for c in p), default=0)
-    if not unbound:
-        return frozenset()
-    signature = p.signature() if signature is None else signature
-    _check_universe(signature, depth_bound, unbound)
-    return bounded_universe(signature, depth_bound)
-
-
 def _ground_clause_instances(
     clause: Clause,
     old: frozenset[Literal],
@@ -198,16 +182,14 @@ def _ground_clause_instances(
 
 
 def least_model_bounded(
-    p: HornProgram,
-    depth_bound: int,
-    signature: frozenset[tuple[str, int]] | None = None,
+    p: HornProgram, depth_bound: int, widen: Iterable[Literal] = ()
 ) -> BoundedModel:
     """The least fixpoint of the immediate-consequence step truncated at the
     bound (the bounded base is finite and the step is inflationary and
-    monotone, so it exists), computed semi-naively and kept in the model
-    slot on (p, depth_bound, signature). A bound below 1 is a ValueError: no
-    atom has depth 0."""
-    return _least_model(p, depth_bound, signature).model
+    monotone, so it exists), computed semi-naively over the language of p
+    and the widen literals (module docstring) and kept in the model slot. A
+    bound below 1 is a ValueError: no atom has depth 0."""
+    return _least_model(p, depth_bound, widen).model
 
 
 class _Entry(NamedTuple):
@@ -225,21 +207,19 @@ class _Entry(NamedTuple):
 _slot: _Entry | None = None
 
 
-def _least_model(
-    p: HornProgram, depth_bound: int, signature: frozenset[tuple[str, int]] | None
-) -> _Entry:
+def _least_model(p: HornProgram, depth_bound: int, widen: Iterable[Literal] = ()) -> _Entry:
     """Every model query's way to the slot: check the bound and find the
-    signature the universe is built over, then a hit returns the slot; a
-    slot whose program is a clause subset of p under the same bound and
-    signature is the base of a warm start; anything else builds from empty.
-    Only a miss builds the universe. The result replaces the slot."""
+    signature the universe is built over (module docstring), then a hit
+    returns the slot; a slot whose program is a clause subset of p under the
+    same bound and signature is the base of a warm start; anything else
+    builds from empty. Only a miss builds the universe. The result replaces
+    the slot."""
     global _slot
     if depth_bound < 1:
         raise ValueError("depth bound must be a positive integer")
-    if p.range_restricted:
-        signature = None
-    elif signature is None:
-        signature = p.signature()
+    signature = None
+    if not p.range_restricted:
+        signature = p.signature() | term_signature(a for l in widen for a in l.args)
     base = _slot
     if (
         base is None
@@ -250,7 +230,10 @@ def _least_model(
         base = None
     elif len(base.program) == len(p):
         return base
-    universe = _universe_for(p, depth_bound, signature)
+    universe: frozenset[Term] = frozenset()
+    if signature is not None:
+        _check_universe(signature, depth_bound, max(len(c.unbound_head_variables) for c in p))
+        universe = bounded_universe(signature, depth_bound)
     _slot = entry = _Entry(p, signature, *_fixpoint(p, depth_bound, universe, base))
     return entry
 
@@ -320,11 +303,11 @@ def reduce_program(p: HornProgram, depth_bound: int) -> HornProgram:
     before the first fact test may exceed the universe cap."""
     global _slot
     clauses = set(p.clauses)
-    # Removals must not shrink the term language; only a clause with an
-    # unbound head variable grounds over it.
-    signature = None if p.range_restricted else p.signature()
-    entry = _least_model(p, depth_bound, None) if p.range_restricted else None
+    entry = _least_model(p, depth_bound) if p.range_restricted else None
     support = entry.support if entry else None
+    # Removals must not shrink the term language: p's literals widen every
+    # fact test, which only a p with an unbound head variable needs.
+    pinned = () if entry else frozenset(l for c in p for l in c.literals)
     keys = {c: {(l.positive, l.pred_key) for l in c.literals} for c in clauses}
     ground = {c: {l for l in c.literals if l.term.ground} for c in clauses}
     holders: dict[Literal, list[Clause]] = {}
@@ -345,10 +328,10 @@ def reduce_program(p: HornProgram, depth_bound: int) -> HornProgram:
             clauses.remove(c)
         elif c.is_fact and len(clauses) > 1:
             if support is None:
-                support = _least_model(HornProgram(clauses), depth_bound, signature).support
+                support = _least_model(HornProgram(clauses), depth_bound, pinned).support
             if c.head in support:
                 rest = HornProgram(clauses - {c})
-                if c.head in least_model_bounded(rest, depth_bound, signature).atoms:
+                if c.head in least_model_bounded(rest, depth_bound, pinned).atoms:
                     clauses.remove(c)
     result = HornProgram(clauses)
     if entry is not None:
@@ -373,18 +356,8 @@ def covers(
     for e in examples:
         if not e.positive or not e.term.ground:
             raise ValueError(f"examples must be ground positive atoms: {render_literal(e)}")
-    model = examples_model(p, examples, depth_bound)
+    model = least_model_bounded(p, depth_bound, frozenset(examples))
     return {e: e in model.atoms for e in examples}
-
-
-def examples_model(p: HornProgram, examples: Iterable[Literal], depth_bound: int) -> BoundedModel:
-    """Bounded least model over p's signature widened with the examples'
-    symbols. Only a clause with an unbound head variable grounds over the
-    signature, so a range-restricted program is not asked for one."""
-    signature = None
-    if not p.range_restricted:
-        signature = p.signature() | term_signature(a for e in examples for a in e.args)
-    return least_model_bounded(p, depth_bound, signature)
 
 
 def is_covered(p: HornProgram, e: Literal, depth_bound: int) -> bool:

@@ -106,6 +106,18 @@ def rng() -> random.Random:
     return random.Random(20260810)
 
 
+def universe_for(p: HornProgram, depth_bound: int, signature=None) -> frozenset:
+    """The universe the oracles ground p's unbound head variables over,
+    refused as the least model refuses it: empty when p is range-restricted,
+    otherwise the bounded universe over the signature, p's own by default."""
+    unbound = max((len(c.unbound_head_variables) for c in p), default=0)
+    if not unbound:
+        return frozenset()
+    signature = p.signature() if signature is None else signature
+    semantics._check_universe(signature, depth_bound, unbound)
+    return semantics.bounded_universe(signature, depth_bound)
+
+
 def count_model_builds(monkeypatch) -> Counter:
     """Count how the model slot answers each query from now on: "hit" (no
     fixpoint ran), "warm" (the fixpoint started from the slot) or "cold"
@@ -113,9 +125,9 @@ def count_model_builds(monkeypatch) -> Counter:
     counts: Counter = Counter()
     least_model, fixpoint = semantics._least_model, semantics._fixpoint
 
-    def answered(p, depth_bound, universe):
+    def answered(p, depth_bound, widen=()):
         before = sum(counts.values())
-        entry = least_model(p, depth_bound, universe)
+        entry = least_model(p, depth_bound, widen)
         if sum(counts.values()) == before:
             counts["hit"] += 1
         return entry

@@ -20,10 +20,10 @@ from hornlearn import (
     priority_precedes,
     term_distance,
 )
-from hornlearn import learner, metric
+from hornlearn import metric
 from hornlearn.cases import even_atom, numeral
-from hornlearn.learner import _strictly_precedes
 from hornlearn.logic import literal_depth, literal_subterms
+from hornlearn.metric import strictly_precedes
 
 from conftest import (
     SIG_BINARY,
@@ -272,7 +272,7 @@ def test_precedence_depth_pre_check_agrees_with_the_plain_subset_test():
         l, m = (random_atom(rng, sig, rng.randint(1, 4), rng.random() < 0.5) for _ in "lm")
         below = literal_subterms(l) <= literal_subterms(m)
         assert priority_precedes(l, m) == below, (l, m)
-        assert _strictly_precedes(l, m) == (below and literal_subterms(l) != literal_subterms(m))
+        assert strictly_precedes(l, m) == (below and literal_subterms(l) != literal_subterms(m))
         rejected += literal_depth(l) > literal_depth(m)
         zero_arity += not l.args or not m.args
     assert rejected > 1000 and zero_arity > 500, (rejected, zero_arity)
@@ -283,7 +283,6 @@ def test_a_deeper_literal_precedes_nothing_and_builds_no_subterm_set(monkeypatch
         raise AssertionError(f"subterm set built for {lit}")
 
     monkeypatch.setattr(metric, "literal_subterms", refused)
-    monkeypatch.setattr(learner, "literal_subterms", refused)
     deep, shallow = even_atom(8), even_atom(2)
     assert not priority_precedes(deep, shallow)
-    assert not _strictly_precedes(deep, shallow)
+    assert not strictly_precedes(deep, shallow)

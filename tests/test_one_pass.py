@@ -31,10 +31,10 @@ from hornlearn import (
     theta_subsumes,
 )
 from hornlearn.cases import even_atom, numeral
-from hornlearn.learner import _PgolemRun, _strictly_precedes
+from hornlearn.learner import _PgolemRun
 from hornlearn.logic import term_variables
-from hornlearn.metric import priority_precedes
-from hornlearn.semantics import _universe_for, least_model_bounded
+from hornlearn.metric import priority_precedes, strictly_precedes
+from hornlearn.semantics import least_model_bounded
 from hornlearn.subsumption import reduce_clause, substitutions
 from hornlearn.syntax import literal_order, render_clause
 
@@ -49,6 +49,7 @@ from conftest import (
     random_literal,
     random_simple_program,
     random_term,
+    universe_for,
 )
 from test_metric import brute_force_hausdorff
 from test_semantics import oracle_least_model
@@ -81,7 +82,7 @@ def oracle_reduce_program(p: HornProgram, depth_bound: int) -> HornProgram:
                 break
             if c.is_fact and rest:
                 kept = HornProgram(rest)
-                universe = _universe_for(kept, depth_bound, signature)
+                universe = universe_for(kept, depth_bound, signature)
                 if c.head in oracle_least_model(kept, depth_bound, universe).atoms:
                     removed = c
                     break
@@ -118,7 +119,7 @@ def pgolem_run(arrivals: list[Literal]) -> _PgolemRun:
 
 def oracle_restart_stage(arrivals: list[Literal], e: Literal) -> int | None:
     """Least trigger stage, then the transitive closure by repeated rescans."""
-    triggers = [i for i, a in enumerate(arrivals) if _strictly_precedes(e, a)]
+    triggers = [i for i, a in enumerate(arrivals) if strictly_precedes(e, a)]
     if not triggers:
         return None
     j = min(triggers)
@@ -127,7 +128,7 @@ def oracle_restart_stage(arrivals: list[Literal], e: Literal) -> int | None:
         earlier = [
             i
             for i in range(j)
-            if any(_strictly_precedes(q, arrivals[i]) for q in pending)
+            if any(strictly_precedes(q, arrivals[i]) for q in pending)
         ]
         if not earlier:
             return j
@@ -374,7 +375,7 @@ def test_restart_stage_backward_scan_equals_closure_oracle(rng, sig, max_depth, 
         e = rng.choice(pool)
         got = pgolem_run(arrivals + [e]).restart_stage()
         assert got == oracle_restart_stage(arrivals, e), (arrivals, e)
-        triggers = [i for i, a in enumerate(arrivals) if _strictly_precedes(e, a)]
+        triggers = [i for i, a in enumerate(arrivals) if strictly_precedes(e, a)]
         if got is not None and got < min(triggers):
             closed_below_trigger += 1
     assert closed_below_trigger > 0

@@ -151,13 +151,13 @@ def test_pgolem_traces_equal_the_reference_learner(rng, monkeypatch):
 
 def test_strictly_precedes_is_asked_once_per_ordered_pair_of_arrivals(rng, monkeypatch):
     asked = Counter()
-    original = learner._strictly_precedes
+    original = learner.strictly_precedes
 
     def counted(a, b):
         asked[a, b] += 1
         return original(a, b)
 
-    monkeypatch.setattr(learner, "_strictly_precedes", counted)
+    monkeypatch.setattr(learner, "strictly_precedes", counted)
     streams = [stream for stream, background in stream_pool(rng) if not background]
     streams.append(ExampleStream(even_atom(2 * k) for k in reversed(range(48))))
     # By hand as by run_stream: each stage reads the one run's relation.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hornlearn import (
     Fn,
     HornProgram,
+    Var,
     atom,
     bounded_universe,
     covers,
@@ -24,9 +25,7 @@ from hornlearn.logic import apply_to_literal, literal_depth, term_variables
 from hornlearn.semantics import (
     BoundedModel,
     _ground_clause_instances,
-    _universe_for,
     default_depth_bound,
-    examples_model,
 )
 
 from conftest import (
@@ -39,6 +38,7 @@ from conftest import (
     random_term,
     random_simple_program,
     random_stream,
+    universe_for,
 )
 from test_substitutions import oracle_tp_step
 
@@ -121,6 +121,14 @@ def outcome(fn, *args):
         return str(exc)
 
 
+def signature_literal(signature):
+    """A literal whose arguments hold exactly the signature's symbols, each
+    function symbol over a variable, so that a signature with no constant is
+    expressed too."""
+    v = Var("V")
+    return atom("w", *(Fn(name, (v,) * arity) for name, arity in sorted(signature)))
+
+
 def test_universe_sizing_equals_the_build_then_check_oracle(rng, monkeypatch):
     # A small cap keeps the oracle's builds cheap; both sides read it.
     monkeypatch.setattr(semantics, "_UNIVERSE_CAP", 2_000)
@@ -137,13 +145,18 @@ def test_universe_sizing_equals_the_build_then_check_oracle(rng, monkeypatch):
         assert outcome(bounded_universe, signature, depth_bound) == outcome(
             oracle_universe_for, signature, depth_bound, 1
         ), (signature, depth_bound)
-        assert outcome(_universe_for, parse_program(head), depth_bound, frozenset(signature)) == want, (
-            signature,
-            depth_bound,
-            unbound,
-        )
-        if isinstance(want, str):
+        # The model of r(Y0, ..., Yk). widened by the signature is the r atoms
+        # over the universe, or the universe's refusal.
+        widen = (signature_literal(signature),)
+        got = outcome(least_model_bounded, parse_program(head), depth_bound, widen)
+        if depth_bound < 1:
+            assert got == "depth bound must be a positive integer"
+        elif isinstance(want, str):
+            assert got == want, (signature, depth_bound, unbound)
             refusals.add(want.split(" ")[0])
+        else:
+            atoms = {atom("r", *args) for args in product(want, repeat=unbound)}
+            assert got.atoms == atoms, (signature, depth_bound, unbound)
     # Every refusal is drawn: no constant, a level over the cap, per match.
     assert refusals == {"signature", "bounded", "a"}, refusals
 
@@ -154,10 +167,11 @@ def test_universe_refusals_build_no_term(monkeypatch):
     with pytest.raises(ValueError, match="458330 terms at depth 6"):
         bounded_universe({("0", 0), ("f", 2)}, 6)
     # The level refusal is tried before the per-match one.
+    p, widen = parse_program("r(Y0, Y1)."), (signature_literal({("0", 0), ("f", 2)}),)
     with pytest.raises(ValueError, match="458330 terms at depth 6"):
-        _universe_for(parse_program("r(Y0, Y1)."), 6, frozenset({("0", 0), ("f", 2)}))
+        least_model_bounded(p, 6, widen)
     with pytest.raises(ValueError, match=r"677\^2 instances per body match"):
-        _universe_for(parse_program("r(Y0, Y1)."), 5, frozenset({("0", 0), ("f", 2)}))
+        least_model_bounded(p, 5, widen)
     assert built == []
 
 
@@ -444,7 +458,7 @@ def test_memo_hit_returns_the_fresh_model(model_memo):
         builds = dict(model_memo)
         again = least_model_bounded(p, 5)
         assert model_memo == builds | {"hit": builds.get("hit", 0) + 1}
-        fresh = oracle_least_model(p, 5, _universe_for(p, 5))
+        fresh = oracle_least_model(p, 5, universe_for(p, 5))
         assert again == first == fresh
 
 
@@ -462,9 +476,9 @@ def test_memo_keeps_example_signatures_apart_when_the_universe_is_live(model_mem
     # r(Y). has no constant of its own: each example's symbols ground it.
     p = parse_program("r(Y).")
     r_a, r_b = atom("r", Fn("a")), atom("r", Fn("b"))
-    assert examples_model(p, [r_a], 2).atoms == {r_a}
-    assert examples_model(p, [r_b], 2).atoms == {r_b}
-    assert examples_model(p, [r_a], 2).atoms == {r_a}
+    assert least_model_bounded(p, 2, (r_a,)).atoms == {r_a}
+    assert least_model_bounded(p, 2, (r_b,)).atoms == {r_b}
+    assert least_model_bounded(p, 2, (r_a,)).atoms == {r_a}
     assert model_memo == {"cold": 3}
 
 
@@ -477,18 +491,19 @@ def test_a_memo_hit_builds_no_universe(model_memo, monkeypatch):
     first = least_model_bounded(p, 4)
     assert len(first.atoms) == 184 and len(built) == 1
     assert least_model_bounded(p, 4) is first
-    assert least_model_bounded(p, 4, p.signature()) is first
+    # A literal over p's own symbols widens nothing: the same key.
+    assert least_model_bounded(p, 4, (atom("q", Fn("a")),)) is first
     assert len(built) == 1 and model_memo == {"cold": 1, "hit": 2}
     # A wider signature is another key: a miss, and a universe built for it.
-    wider = least_model_bounded(p, 4, p.signature() | {("b", 0)})
+    wider = least_model_bounded(p, 4, (atom("q", Fn("b")),))
     assert len(built) == 2 and len(wider.atoms) > len(first.atoms)
 
 
 def test_memo_shares_one_entry_across_signatures_when_no_universe_is_needed(model_memo):
     a, b = atom("p", Fn("a")), atom("p", Fn("b"))
-    assert not examples_model(CHAIN_UP, [a], 7).atoms & {a, b}
+    assert not least_model_bounded(CHAIN_UP, 7, (a,)).atoms & {a, b}
     hits = model_memo["hit"]
-    assert examples_model(CHAIN_UP, [b], 7) == least_model_bounded(CHAIN_UP, 7)
+    assert least_model_bounded(CHAIN_UP, 7, (b,)) == least_model_bounded(CHAIN_UP, 7)
     assert model_memo["hit"] == hits + 2
 
 
@@ -518,7 +533,7 @@ def test_warm_and_inherited_models_equal_the_from_scratch_loop(model_memo, sig, 
         if rng.random() < 0.3:
             p = p.with_clauses((fact(atom("r", rng.choice(VAR_POOL))),))
         for _ in range(3):
-            universe = _universe_for(p, bound)
+            universe = universe_for(p, bound)
             model = least_model_bounded(p, bound)
             fresh = oracle_least_model(p, bound, universe)
             assert (model.atoms, model.truncated) == (fresh.atoms, fresh.truncated), p
@@ -537,7 +552,7 @@ def test_warm_and_inherited_models_equal_the_from_scratch_loop(model_memo, sig, 
         # A warm start from the inherited entry: its support set may keep
         # heads of clauses the reduction removed, never lose one.
         grown = result.with_clauses(random_extension(rng, sig, depth))
-        universe = _universe_for(grown, bound)
+        universe = universe_for(grown, bound)
         model = least_model_bounded(grown, bound)
         fresh = oracle_least_model(grown, bound, universe)
         assert (model.atoms, model.truncated) == (fresh.atoms, fresh.truncated), grown
@@ -554,7 +569,7 @@ def test_threads_sharing_the_slot_get_every_model_right():
     for _ in range(6):
         p = HornProgram(random_extension(rng, SIG_UNARY_PQR, 3)).with_clauses(CHAIN.clauses)
         programs += [p, p.with_clauses(random_extension(rng, SIG_UNARY_PQR, 3))]
-    models = {p: oracle_least_model(p, 5, _universe_for(p, 5)) for p in programs}
+    models = {p: oracle_least_model(p, 5, universe_for(p, 5)) for p in programs}
     reduced = {p: reduce_program(p, 5) for p in programs}
     wrong = []
 

@@ -13,7 +13,7 @@ import pytest
 
 from hornlearn import Clause, Fn, HornProgram, Literal, Var, bounded_universe, subsumption, theta_subsumes
 from hornlearn.logic import apply_to_clause, apply_to_literal, literal_depth, term_variables
-from hornlearn.semantics import _ground_clause_instances, _universe_for
+from hornlearn.semantics import _ground_clause_instances
 from hornlearn.subsumption import substitutions
 from hornlearn.syntax import literal_order
 
@@ -26,6 +26,7 @@ from conftest import (
     random_definite_clause,
     random_literal,
     random_term,
+    universe_for,
 )
 from test_term_oracle import oracle_match_literals
 
@@ -92,7 +93,7 @@ def oracle_tp_step(p: HornProgram, atoms, depth_bound: int, universe=None) -> fr
     body holds in atoms, truncated at the bound. The universe defaults to
     the one the least model grounds unbound head variables over."""
     if universe is None:
-        universe = _universe_for(p, depth_bound)
+        universe = universe_for(p, depth_bound)
     out = set(atoms)
     for clause in p:
         for h in oracle_ground_clause_instances(clause, atoms, universe):
