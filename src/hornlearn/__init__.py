@@ -16,7 +16,9 @@ from .learner import (
     StageRecord,
     System,
     config_for_stream,
+    read_trace,
     run_stream,
+    trace_text,
 )
 from .limits import LimitReport, Verdict, convergence_report, default_window
 from .logic import (

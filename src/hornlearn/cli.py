@@ -24,7 +24,9 @@ from .learner import (
     StageRecord,
     System,
     config_for_stream,
+    read_trace,
     run_stream,
+    trace_text,
 )
 from .limits import LimitReport, Verdict, convergence_report, default_window
 from .logic import ExampleStream, HornProgram, literal_depth
@@ -81,8 +83,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
 def cmd_lgg(args: argparse.Namespace) -> int:
     clauses = parse_clauses(_read(args.file))
     if len(clauses) != 2:
-        print(f"error: expected exactly two clauses, found {len(clauses)}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"expected exactly two clauses, found {len(clauses)}")
     g = lgg_clauses(clauses[0], clauses[1])
     out = render_clause(g) if g.literals else "% empty (no common literals)"
     if args.format == "json":
@@ -127,13 +128,6 @@ def cmd_model(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_trace(records: list[StageRecord], path: str) -> list[str]:
-    """Write one JSON line per record; returns the lines written."""
-    lines = [json.dumps(r.to_json_dict()) for r in records]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return lines
-
-
 def cmd_learn(args: argparse.Namespace) -> int:
     if args.stages < 1:
         raise ValueError(f"stage budget must be at least 1, got {args.stages}")
@@ -146,7 +140,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     )
     records = run_stream(ExampleStream(stream.arrivals[: args.stages]), cfg, background)
     if args.trace:
-        _write_trace(records, args.trace)
+        Path(args.trace).write_text(trace_text(records), encoding="utf-8")
     remaining = len(stream) - len(records)
     if remaining:
         print(f"error: stage budget exhausted with {remaining} arrival(s) unprocessed",
@@ -159,10 +153,9 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    records = _load_trace(args.trace)
+    records = read_trace(_read(args.trace))
     if not records:
-        print("error: trace file holds no stages", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("trace file holds no stages")
     text = _analyze(records, args.window, args.depth).to_json()
     if args.report:
         Path(args.report).write_text(text + "\n", encoding="utf-8")
@@ -185,27 +178,6 @@ def _analyze(records: list[StageRecord], window: int | None, depth: int | None) 
     return convergence_report(records, streamed, window, depth)
 
 
-def _load_trace(path: str) -> list[StageRecord]:
-    """Rebuild stage records from a trace file (canonical program text); a
-    malformed line, or a stage that does not follow the one before it, is a
-    ParseError naming its line number. The first stage may be above 0, as
-    in a trace's tail."""
-    records = []
-    for n, line in enumerate(_read(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = StageRecord.from_json_dict(json.loads(line))
-            if records and record.stage != records[-1].stage + 1:
-                raise ValueError(f"stage {record.stage} does not follow stage {records[-1].stage}")
-            records.append(record)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"trace line is not JSON: {exc.msg}", n, exc.colno) from exc
-        except ValueError as exc:
-            raise ParseError(str(exc), n, 1) from exc
-    return records
-
-
 # ---------------------------------------------------------------------------
 # Reproduce: built-in cases checked against committed golden fixtures
 
@@ -214,13 +186,13 @@ def _golden_text(name: str) -> str:
     return resources.files("hornlearn").joinpath("golden", name).read_text(encoding="utf-8")
 
 
-def _golden_check(actual_lines: list[str], golden_name: str) -> tuple[str, bool]:
-    """(label, ok) for the serialized trace against the committed fixture."""
-    golden_lines = [l for l in _golden_text(golden_name).splitlines() if l.strip()]
+def _golden_check(text: str, golden_name: str) -> tuple[str, bool]:
+    """(label, ok) for the trace text against the committed fixture, line by line."""
+    golden_lines, actual_lines = _golden_text(golden_name).splitlines(), text.splitlines()
     if len(golden_lines) != len(actual_lines):
         return f"stage count differs: expected {len(golden_lines)}, got {len(actual_lines)}", False
     for i, (want, got) in enumerate(zip(golden_lines, actual_lines)):
-        if json.loads(want) != json.loads(got):
+        if want != got:
             return f"first difference at stage {i}:\n  expected: {want}\n  actual:   {got}", False
     return "trace matches the golden fixture", True
 
@@ -228,18 +200,19 @@ def _golden_check(actual_lines: list[str], golden_name: str) -> tuple[str, bool]
 def _fold(outdir: Path, name: str, stream: ExampleStream, system: System,
           window: int | None = None, depth: int | None = None):
     """Run the learner over the stream and write <name>.trace.jsonl and
-    <name>.report.json; returns the trace lines, the records and the report."""
+    <name>.report.json; returns the trace text, the records and the report."""
     cfg = config_for_stream(stream, system)
     records = run_stream(stream, cfg)
-    lines = _write_trace(records, str(outdir / f"{name}.trace.jsonl"))
+    text = trace_text(records)
+    (outdir / f"{name}.trace.jsonl").write_text(text, encoding="utf-8")
     report = _analyze(records, window, depth or cfg.depth_bound)
     (outdir / f"{name}.report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    return lines, records, report
+    return text, records, report
 
 
 def _example_31(outdir: Path):
-    lines, _, report = _fold(outdir, "example-3.1", even_ascending_stream(11), System.GOLEM)
-    yield _golden_check(lines, "example-3.1.trace.jsonl")
+    text, _, report = _fold(outdir, "example-3.1", even_ascending_stream(11), System.GOLEM)
+    yield _golden_check(text, "example-3.1.trace.jsonl")
     yield "verdict is stable", report.verdict is Verdict.STABLE
     yield "limit is the ascending chain program", render_program(
         report.candidate_limit
@@ -254,10 +227,10 @@ def _example_31(outdir: Path):
 
 
 def _example_32(outdir: Path):
-    lines, _, report = _fold(
+    text, _, report = _fold(
         outdir, "example-3.2", even_reordered_stream(12), System.GOLEM, window=4, depth=14
     )
-    yield _golden_check(lines, "example-3.2.trace.jsonl")
+    yield _golden_check(text, "example-3.2.trace.jsonl")
     yield "verdict is convergent-modulo-transients", (
         report.verdict is Verdict.CONVERGENT_MODULO_TRANSIENTS
     )

@@ -12,7 +12,6 @@ two ground chain clauses come out as a single recursive rule.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
 from enum import Enum
 from itertools import product
 from math import prod
@@ -115,16 +114,16 @@ def _literal_lggs(c: Clause, d: Clause, table: PairTable) -> Clause:
 def lgg_clause_sets(
     a: frozenset[Clause] | set[Clause],
     b: frozenset[Clause] | set[Clause],
-    keep: Callable[[Clause], object] = len,
 ) -> frozenset[Clause]:
     """Pair each clause of a with its distance-nearest clause of b (ties go to
-    the first in canonical order) and keep the reduced lggs that pass `keep`
-    (by default `len`: the nonempty ones). A b of one clause is nearest to
-    every clause, so no distance is computed; otherwise only clauses tied at
-    the least distance are rendered. `keep` is asked before reduction, so an
-    lgg it drops is never reduced; it must give a clause and its reduction
-    the same answer. Distance is undefined for the empty clause, so an empty
-    set or an empty clause in either is refused."""
+    the first in canonical order) and keep the nonempty reduced lggs, except
+    definite ones that are not range-restricted. A b of one clause is nearest
+    to every clause, so no distance is computed; otherwise only clauses tied
+    at the least distance are rendered. The filter is asked before reduction,
+    which keeps a definite clause range-restricted exactly when it was: the
+    reduced body is a subset of the clause's, and θ fixes every head variable.
+    A two-headed lgg may reduce to a definite clause, so it is kept. Distance
+    is undefined for the empty clause, so an empty set or clause is refused."""
     if not a or not b or not all(a) or not all(b):
         raise ValueError("lgg over clause sets requires nonempty sets of nonempty clauses")
     out = set()
@@ -137,7 +136,7 @@ def lgg_clause_sets(
             ties = [d for dist, d in distances if dist == least]
             nearest = min(ties, key=render_clause) if len(ties) > 1 else ties[0]
         g = _literal_lggs(c, nearest, PairTable())
-        if keep(g):
+        if g.literals and (not g.is_definite or g.range_restricted):
             out.add(reduce_clause(g))
     return frozenset(out)
 

@@ -34,13 +34,12 @@ Two drivers share the same machinery:
 Learned clauses are kept only if definite and range-restricted (head
 variables all occur in the body); degenerate generalizations such as
 p(X) :- p(Y) would otherwise either swallow the whole program under
-reduction or make bounded evaluation enumerate the universe. Reduction keeps
-a definite clause's range restriction as it was, so an lgg that fails it is
-dropped before it is reduced.
+reduction or make bounded evaluation enumerate the universe.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -61,7 +60,7 @@ from .logic import (
 )
 from .metric import is_simple_program, priority_precedes, strictly_precedes
 from .semantics import default_depth_bound, is_covered, reduce_program
-from .syntax import parse_atom, parse_program, render_literal, render_program
+from .syntax import ParseError, parse_atom, parse_program, render_literal, render_program
 
 
 class System(Enum):
@@ -142,17 +141,34 @@ class StageRecord:
         )
 
 
+def trace_text(records: list[StageRecord]) -> str:
+    """The trace file `learn --trace` writes: one JSON line per record."""
+    return "\n".join(json.dumps(r.to_json_dict()) for r in records) + "\n"
+
+
+def read_trace(text: str) -> list[StageRecord]:
+    """Rebuild stage records from a trace file (canonical program text); a
+    malformed line, or a stage that does not follow the one before it, is a
+    ParseError naming its line number. Blank lines are skipped. The first
+    stage may be above 0, as in a trace's tail."""
+    records = []
+    for n, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = StageRecord.from_json_dict(json.loads(line))
+            if records and record.stage != records[-1].stage + 1:
+                raise ValueError(f"stage {record.stage} does not follow stage {records[-1].stage}")
+            records.append(record)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"trace line is not JSON: {exc.msg}", n, exc.colno) from exc
+        except ValueError as exc:
+            raise ParseError(str(exc), n, 1) from exc
+    return records
+
+
 def _keep_learned(clauses: frozenset[Clause]) -> set[Clause]:
     return {c for c in clauses if c.is_definite and c.range_restricted}
-
-
-def _may_be_kept(c: Clause) -> bool:
-    """Whether _keep_learned may accept c's reduction. Reduction keeps a
-    definite clause definite and range-restricted exactly when it was: θ
-    maps the head to itself, so a body literal holding a head variable maps
-    to one that still holds it, and the reduced body is a subset of c's. A
-    clause with two heads may reduce to a definite one, so it passes."""
-    return not c.is_definite or c.range_restricted
 
 
 def _extend(current: HornProgram, e: Literal, cfg: LearnerConfig) -> HornProgram:
@@ -168,7 +184,7 @@ def _extend(current: HornProgram, e: Literal, cfg: LearnerConfig) -> HornProgram
 
     hypothesis_clauses = frozenset(current.rules)
     if hypothesis_clauses:
-        new = lgg_clause_sets(hypothesis_clauses, sigma, keep=_may_be_kept)
+        new = lgg_clause_sets(hypothesis_clauses, sigma)
         if prioritized:
             new = frozenset(_enforce_simplicity(c) for c in new)
     else:

@@ -91,16 +91,14 @@ class BoundedModel:
     atoms: frozenset[Literal]
     truncated: int
 
-    def sorted_atoms(self) -> list[Literal]:
-        return sorted(self.atoms, key=lambda a: (a.predicate, literal_depth(a), render_literal(a)))
-
     def to_json_dict(self) -> dict:
         """The model as `model --format json` prints it and limit reports
         carry it."""
+        atoms = sorted(self.atoms, key=lambda a: (a.predicate, literal_depth(a), render_literal(a)))
         return {
             "depthBound": self.depth_bound,
             "truncated": self.truncated,
-            "atoms": [render_literal(a) for a in self.sorted_atoms()],
+            "atoms": [render_literal(a) for a in atoms],
         }
 
 

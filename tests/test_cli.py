@@ -13,8 +13,10 @@ from hornlearn import (
     config_for_stream,
     parse_example_stream,
     parse_program,
+    read_trace,
     render_literal,
     run_stream,
+    trace_text,
 )
 from hornlearn.cases import even_ascending_stream, even_reordered_stream
 from hornlearn.cli import main
@@ -70,7 +72,15 @@ def test_lgg_requires_exactly_two_clauses(tmp_path, capsys):
     f.write_text("p(0).\n")
     code, _, err = run(capsys, "lgg", str(f))
     assert code == 2
-    assert "two clauses" in err
+    assert err == "error: expected exactly two clauses, found 1\n"
+
+
+def test_lgg_json_format(tmp_path, capsys):
+    f = tmp_path / "pair.pl"
+    f.write_text("p(s(s(0))) :- p(0).\np(s(s(s(s(0))))) :- p(s(s(0))).\n")
+    code, out, _ = run(capsys, "lgg", "--format", "json", str(f))
+    assert code == 0
+    assert out == '{"lgg": "p(s(s(X0))) :- p(X0)."}\n'
 
 
 def test_rlgg_fact_background(tmp_path, capsys):
@@ -136,6 +146,18 @@ def test_model_case_2_empty(tmp_path, capsys):
     code, out, _ = run(capsys, "model", "--program", str(f), "--depth", "8")
     assert code == 0
     assert "0 atom(s)" in out
+
+
+def test_model_json_format(tmp_path, capsys):
+    f = tmp_path / "up.pl"
+    f.write_text(CHAIN_UP)
+    code, out, _ = run(capsys, "model", "--program", str(f), "--depth", "7", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "depthBound": 7,
+        "truncated": 1,
+        "atoms": ["p(0)", "p(s(s(0)))", "p(s(s(s(s(0)))))", "p(s(s(s(s(s(s(0)))))))"],
+    }
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -292,7 +314,7 @@ def test_analyze_rejects_empty_trace(tmp_path, capsys):
     trace.write_text("")
     code, _, err = run(capsys, "analyze", "--trace", str(trace))
     assert code == 2
-    assert "no stages" in err
+    assert err == "error: trace file holds no stages\n"
 
 
 def test_identical_invocations_are_bit_identical(tmp_path, capsys):
@@ -317,6 +339,9 @@ def test_trace_codec_round_trips_and_matches_benchmark_digest(tmp_path, capsys, 
         obj = rec.to_json_dict()
         assert StageRecord.from_json_dict(obj) == rec
         assert StageRecord.from_json_dict(json.loads(json.dumps(obj))).to_json_dict() == obj
+    assert read_trace(trace_text(records)) == records
+    # The benchmark hashes traces with its own writer; it must agree with the library's.
+    assert hashlib.sha256(trace_text(records).encode("utf-8")).hexdigest() == trace_digest(records)
 
     examples = tmp_path / "stream.pl"
     examples.write_text("".join(f"{render_literal(a)}.\n" for a in stream))

@@ -30,7 +30,7 @@ from hornlearn import (
     theta_subsumes,
 )
 from hornlearn.cases import numeral
-from hornlearn.learner import _enforce_simplicity, _keep_learned, _may_be_kept
+from hornlearn.learner import _enforce_simplicity, _keep_learned
 from hornlearn.logic import term_variables
 from hornlearn.semantics import least_model_bounded
 from hornlearn.subsumption import clause_variant_equal, reduce_clause
@@ -180,9 +180,9 @@ def test_clause_set_lgg_identity():
     assert clause_variant_equal(g, PI_1)
 
 
-def oracle_lgg_clause_sets(a, b):
+def oracle_nearest_lggs(a, b):
     """The pairing lgg_clause_sets replaced: b sorted by canonical text once,
-    then the first clause at the least distance."""
+    then the first clause at the least distance; every nonempty reduced lgg."""
     b_sorted = sorted(b, key=render_clause)
     out = set()
     for c in a:
@@ -190,6 +190,12 @@ def oracle_lgg_clause_sets(a, b):
         if g.literals:
             out.add(g)
     return frozenset(out)
+
+
+def oracle_lgg_clause_sets(a, b):
+    """oracle_nearest_lggs without the definite clauses that fail range
+    restriction, dropped after reduction."""
+    return frozenset(g for g in oracle_nearest_lggs(a, b) if not g.is_definite or g.range_restricted)
 
 
 def test_clause_set_lgg_equals_sorted_min_oracle(monkeypatch):
@@ -239,16 +245,17 @@ def test_reduction_keeps_definite_clauses_definite_and_range_restriction_both_wa
 
 @pytest.mark.parametrize("sig,depth", [(SIG_UNARY, 3), (SIG_BINARY, 2)])
 def test_learner_drops_unrestricted_lggs_before_reducing_them(sig, depth):
-    # The learner's filter, asked before reduction, keeps what it kept when
-    # asked after. b holds saturation-like clauses, some with two heads.
+    # lgg_clause_sets' filter, asked before reduction, leaves the learner
+    # keeping what it keeps from every reduced lgg. b holds saturation-like
+    # clauses, some with two heads.
     rng = random.Random(2002)
     skipped = 0
     for _ in range(300):
         a = {random_definite_clause(rng, sig, depth) for _ in range(rng.randint(1, 3))}
         b = {random_definite_clause(rng, sig, depth) for _ in range(rng.randint(1, 2))}
         b |= {random_clause(rng, sig, depth, max_literals=4) for _ in range(rng.randint(0, 2))}
-        early = lgg_clause_sets(a, b, keep=_may_be_kept)
-        late = lgg_clause_sets(a, b)
+        early = lgg_clause_sets(a, b)
+        late = oracle_nearest_lggs(a, b)
         assert _keep_learned(early) == _keep_learned(late), (a, b)
         simple = frozenset(map(_enforce_simplicity, early)), frozenset(map(_enforce_simplicity, late))
         assert _keep_learned(simple[0]) == _keep_learned(simple[1]), (a, b)

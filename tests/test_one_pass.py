@@ -7,7 +7,6 @@ filter nor the model slot of `reduce_program`."""
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
@@ -29,6 +28,7 @@ from hornlearn import (
     run_stream,
     semantics,
     theta_subsumes,
+    trace_text,
 )
 from hornlearn.cases import even_atom, numeral
 from hornlearn.learner import _PgolemRun
@@ -345,8 +345,7 @@ def test_golem_descending_builds_at_most_one_model_per_reduction(monkeypatch):
 
     def trace_bytes() -> bytes:
         semantics._slot = None
-        lines = [json.dumps(r.to_json_dict()) for r in run_stream(stream, cfg)]
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return trace_text(run_stream(stream, cfg)).encode("utf-8")
 
     monkeypatch.setattr(learner, "reduce_program", counted)
     got = trace_bytes()

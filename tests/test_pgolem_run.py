@@ -24,6 +24,7 @@ from hornlearn import (
     learner,
     run_stream,
     semantics,
+    trace_text,
 )
 from hornlearn.cases import even_atom
 from hornlearn.logic import fact
@@ -77,7 +78,7 @@ def trace_bytes(fold, stream, cfg, background) -> bytes | tuple[type, str]:
         records = fold(stream, cfg, background)
     except ValueError as exc:
         return type(exc), str(exc)
-    return "".join(json.dumps(r.to_json_dict()) + "\n" for r in records).encode("utf-8")
+    return trace_text(records).encode("utf-8")
 
 
 def random_background(rng: random.Random, sig, max_depth: int) -> HornProgram:

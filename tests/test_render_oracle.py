@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import json
 import os
 import random
 import subprocess
@@ -41,6 +40,7 @@ from hornlearn import (
     render_program,
     render_term,
     run_stream,
+    trace_text,
 )
 from hornlearn.cases import even_atom
 from hornlearn.logic import _interned, apply_to_literal, subterms
@@ -415,5 +415,5 @@ DESCENDING_TRACE_SHA256 = {
 def test_descending_trace_bytes_at_depth_are_pinned(system, stages):
     stream = ExampleStream(even_atom(2 * k) for k in reversed(range(stages)))
     records = run_stream(stream, config_for_stream(stream, system))
-    text = "\n".join(json.dumps(r.to_json_dict()) for r in records) + "\n"
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DESCENDING_TRACE_SHA256[system, stages]
+    digest = hashlib.sha256(trace_text(records).encode("utf-8")).hexdigest()
+    assert digest == DESCENDING_TRACE_SHA256[system, stages]
