@@ -24,7 +24,7 @@ from .logic import (
     Term,
     Var,
 )
-from .metric import clause_distance
+from .metric import clause_agreement
 from .semantics import least_model_bounded
 from .subsumption import reduce_clause
 from .syntax import literal_order, render_clause, render_literal
@@ -68,7 +68,7 @@ def lgg_terms(t: Term, s: Term, table: PairTable) -> Term:
         return table.variable_for(t, s)
     if t.functor != s.functor or len(t.args) != len(s.args):
         return table.variable_for(t, s)
-    return Fn(t.functor, tuple(lgg_terms(a, b, table) for a, b in zip(t.args, s.args)))
+    return Fn(t.functor, tuple([lgg_terms(a, b, table) for a, b in zip(t.args, s.args)]))
 
 
 def lgg_literals(l: Literal, m: Literal, table: PairTable) -> Literal | None:
@@ -131,9 +131,9 @@ def lgg_clause_sets(
         if len(b) == 1:
             (nearest,) = b
         else:
-            distances = [(clause_distance(c, d), d) for d in b]
-            least = min(dist for dist, _ in distances)
-            ties = [d for dist, d in distances if dist == least]
+            agreements = [(clause_agreement(c, d), d) for d in b]
+            most = max(m for m, _ in agreements)
+            ties = [d for m, d in agreements if m == most]
             nearest = min(ties, key=render_clause) if len(ties) > 1 else ties[0]
         g = _literal_lggs(c, nearest, PairTable())
         if g.literals and (not g.is_definite or g.range_restricted):

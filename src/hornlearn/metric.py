@@ -5,9 +5,13 @@ and its strict part; the simplicity predicate on clauses and programs.
 The term distance takes values in {0} ∪ {1/m}: 0 for equal terms, 1 when the
 root symbols differ, and d/(d+1) for equal roots where d is the maximum
 argument distance. Two terms are at distance at most 1/(m+1) exactly when
-their trees agree to depth m. Values are exact rationals, never floats, so
-the codomain is assertable exactly; the walk computes the integer m of
-1/m, and each distance builds one Fraction.
+their trees agree to depth m. That m is the one definition inside: the
+agreement of two terms, literals or clauses is the integer m with distance
+1/m, and EQUAL (infinite) at distance 0, so a larger agreement is a smaller
+distance. The walks and the Hausdorff lift compare integers, and the lgg's
+nearest-clause choice reads clause_agreement. The public distances return
+exact rationals, never floats, so the codomain is assertable exactly: each
+builds one Fraction from its agreement.
 
 Variables are treated as 0-arity symbols distinct from every functor and from
 each other, the minimal total extension of the functor-rooted definition.
@@ -15,6 +19,7 @@ each other, the minimal total extension of the functor-rooted definition.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .logic import Clause, HornProgram, Literal, Term, Var, literal_depth, literal_subterms
@@ -22,19 +27,26 @@ from .logic import Clause, HornProgram, Literal, Term, Var, literal_depth, liter
 Distance = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+# The agreement of equal terms, literals or clauses: distance 0.
+EQUAL = math.inf
+
+
+def _distance(m: int | float) -> Distance:
+    return ZERO if m == EQUAL else Fraction(1, m)
 
 
 def term_distance(t: Term, s: Term) -> Distance:
-    return ZERO if t == s else Fraction(1, _agreement(t, s))
+    return _distance(_agreement(t, s))
 
 
-def _agreement(t: Term, s: Term) -> int:
-    """The m with term_distance(t, s) = 1/m, for unequal terms: 1 when the
-    roots differ, otherwise 1 plus the least agreement of an unequal
+def _agreement(t: Term, s: Term) -> int | float:
+    """The m with term_distance(t, s) = 1/m: EQUAL for equal terms, 1 when
+    the roots differ, otherwise 1 plus the least agreement of an unequal
     argument pair (the largest argument distance). That is the depth of the
     shallowest unequal pair whose roots differ, so the walk goes level by
     level over the unequal pairs and stops there; no frame per level."""
+    if t is s:
+        return EQUAL
     level = [(t, s)]
     m = 1
     while True:
@@ -53,23 +65,34 @@ def _agreement(t: Term, s: Term) -> int:
         m += 1
 
 
-def literal_distance(l: Literal, m: Literal) -> Distance:
-    """1 on sign mismatch; otherwise the distance of the atoms, terms rooted
+def _literal_agreement(l: Literal, m: Literal) -> int | float:
+    """1 on sign mismatch; otherwise the agreement of the atoms, terms rooted
     at the predicate symbol, so 1 on predicate mismatch too."""
-    return ONE if l.positive != m.positive else term_distance(l.term, m.term)
+    return 1 if l.positive != m.positive else _agreement(l.term, m.term)
+
+
+def literal_distance(l: Literal, m: Literal) -> Distance:
+    return _distance(_literal_agreement(l, m))
+
+
+def clause_agreement(c: Clause, d: Clause) -> int | float:
+    """The m with clause_distance(c, d) = 1/m: the Hausdorff lift of literal
+    distance with the order flipped, min over both directed min-max
+    agreements. Rejects empty clauses."""
+    if not c.literals or not d.literals:
+        raise ValueError("clause_distance is undefined for empty clauses")
+    # One agreement per literal pair: forward from the row maxima, backward
+    # from the column maxima.
+    rows = [[_literal_agreement(l, m) for m in d.literals] for l in c.literals]
+    forward = min(max(row) for row in rows)
+    backward = min(max(column) for column in zip(*rows))
+    return min(forward, backward)
 
 
 def clause_distance(c: Clause, d: Clause) -> Distance:
     """Hausdorff lift of literal_distance: max over both directed max-min
     distances. Rejects empty clauses."""
-    if not c.literals or not d.literals:
-        raise ValueError("clause_distance is undefined for empty clauses")
-    # One distance per literal pair: forward from the row minima, backward
-    # from the column minima.
-    rows = [[literal_distance(l, m) for m in d.literals] for l in c.literals]
-    forward = max(min(row) for row in rows)
-    backward = max(min(column) for column in zip(*rows))
-    return max(forward, backward)
+    return _distance(clause_agreement(c, d))
 
 
 def priority_precedes(l: Literal, m: Literal) -> bool:

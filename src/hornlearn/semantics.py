@@ -344,6 +344,20 @@ def covers(
 ) -> dict[Literal, bool]:
     """Per-example membership in the bounded least model. Examples deeper
     than the bound are rejected with a sizing hint."""
+    _check_examples(examples, depth_bound)
+    model = least_model_bounded(p, depth_bound, frozenset(examples))
+    return {e: e in model.atoms for e in examples}
+
+
+def is_covered(p: HornProgram, e: Literal, depth_bound: int) -> bool:
+    """covers(p, {e}, depth_bound)[e], read straight off the model slot."""
+    _check_examples((e,), depth_bound)
+    return e in _least_model(p, depth_bound, (e,)).model.atoms
+
+
+def _check_examples(examples: Iterable[Literal], depth_bound: int) -> None:
+    """Refuse examples deeper than the bound, with a sizing hint, then any
+    that is not a ground positive atom."""
     too_deep = [e for e in examples if literal_depth(e) > depth_bound]
     if too_deep:
         worst = max(literal_depth(e) for e in too_deep)
@@ -354,12 +368,6 @@ def covers(
     for e in examples:
         if not e.positive or not e.term.ground:
             raise ValueError(f"examples must be ground positive atoms: {render_literal(e)}")
-    model = least_model_bounded(p, depth_bound, frozenset(examples))
-    return {e: e in model.atoms for e in examples}
-
-
-def is_covered(p: HornProgram, e: Literal, depth_bound: int) -> bool:
-    return covers(p, {e}, depth_bound)[e]
 
 
 def default_depth_bound(max_example_depth: int, background: Iterable[Clause] = ()) -> int:

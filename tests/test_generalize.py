@@ -278,7 +278,7 @@ def test_clause_set_lgg_rejects_empty_clauses():
 
 def test_clause_set_lgg_pairs_with_a_lone_clause_without_a_distance(monkeypatch):
     rng = random.Random(1001)
-    monkeypatch.setattr(generalize, "clause_distance", None)
+    monkeypatch.setattr(generalize, "clause_agreement", None)
     for _ in range(50):
         a = {random_definite_clause(rng, SIG_UNARY, 3) for _ in range(rng.randint(1, 3))}
         d = random_definite_clause(rng, SIG_UNARY, 3)

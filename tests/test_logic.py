@@ -20,6 +20,7 @@ from hornlearn import (
     parse_program,
     subterms,
 )
+from hornlearn import logic
 from hornlearn.cases import even_atom, numeral
 from hornlearn.logic import _interned, _programs, literal_subterms, term_variables
 from hornlearn.syntax import render_clause
@@ -190,7 +191,7 @@ def test_unreferenced_clauses_and_programs_leave_their_tables():
     p = HornProgram((c,))
     render_clause(c)  # the stored text and views live on the node
     assert c.head is lit and c.unbound_head_variables == frozenset()
-    assert _interned[(c.literals,)] is c and _programs[(p.clauses,)] is p
+    assert _interned[(c.literals,)]() is c and _programs[(p.clauses,)]() is p
     refs = [weakref.ref(x) for x in (lit, c, p)]
     del lit, c, p
     gc.collect()
@@ -199,6 +200,77 @@ def test_unreferenced_clauses_and_programs_leave_their_tables():
         isinstance(k[0], frozenset) and any("only_in_this_clause" in repr(x) for x in k[0])
         for k in list(_interned.keys()) + list(_programs.keys())
     )
+
+
+def test_a_node_in_its_subterm_cycle_is_found_until_collected_then_rebuilt():
+    key = ("cycle_only", (Fn("cycle_leaf"),))
+    gc.disable()
+    try:
+        t = Fn(*key)
+        subterms(t)  # the stored set refers back to t: only the collector frees it
+        old_id, dead = id(t), _interned[key]
+        del t
+        # Unreachable but not yet collected: an equal call still finds it.
+        assert id(Fn(*key)) == old_id
+        gc.collect()
+        assert dead() is None and key not in _interned
+        # A dead entry whose callback has not run yet is replaced on a miss,
+        # and the late callback leaves the new entry in place.
+        _interned[key] = dead
+        fresh = Fn(*key)
+        assert _interned[key]() is fresh and not hasattr(fresh, "_subterms")
+        logic._drop(dead)
+        assert _interned[key]() is fresh and Fn(*key) is fresh
+    finally:
+        gc.enable()
+
+
+def test_threads_reading_the_views_of_fresh_clauses_get_equal_values():
+    def build(i: int) -> Clause:
+        x, y = Var(f"ViewX{i}"), Var(f"ViewY{i}")
+        return Clause((atom(f"view{i}", x, y), neg("q", x), neg("r", Fn(f"c{i}"), x)))
+
+    def views(c: Clause) -> tuple:
+        return c.head, c.body, c.negatives, c.unbound_head_variables
+
+    barrier = threading.Barrier(8)
+    results: list = [None] * 8
+
+    def run(k: int) -> None:
+        barrier.wait()
+        # Every thread builds the same fresh nodes, so their views race.
+        results[k] = [views(build(i)) for i in range(300)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, seen in enumerate(zip(*results)):
+        c = build(i)
+        expected = (
+            atom(f"view{i}", Var(f"ViewX{i}"), Var(f"ViewY{i}")),
+            tuple(l.atom() for l in c.literals if not l.positive),
+            tuple(l for l in c.literals if not l.positive),
+            frozenset((Var(f"ViewY{i}"),)),
+        )
+        assert all(v == expected for v in seen), i
+
+
+def test_a_view_that_raises_raises_on_every_read():
+    two_heads = Clause((atom("p", ZERO), atom("q", ZERO)))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not definite"):
+            two_heads.head
+        with pytest.raises(ValueError, match="not definite"):
+            two_heads.body
+    assert "head" not in vars(two_heads) and "body" not in vars(two_heads)
 
 
 def test_threads_building_the_same_clauses_get_one_node_each():

@@ -10,6 +10,7 @@ from hornlearn import (
     Fn,
     Literal,
     Var,
+    apply_to_clause,
     atom,
     clause_distance,
     is_simple,
@@ -20,15 +21,17 @@ from hornlearn import (
     priority_precedes,
     term_distance,
 )
-from hornlearn import metric
+from hornlearn import generalize, metric
 from hornlearn.cases import even_atom, numeral
 from hornlearn.logic import literal_depth, literal_subterms
 from hornlearn.metric import strictly_precedes
+from hornlearn.syntax import render_clause
 
 from conftest import (
     SIG_BINARY,
     SIG_UNARY,
     random_atom,
+    random_definite_clause,
     random_literal,
     random_simple_clause,
     random_term,
@@ -205,6 +208,41 @@ def test_clause_distance_matches_oracle(seed):
     c = Clause(random_literal(rng, SIG_UNARY, 3) for _ in range(rng.randint(1, 3)))
     d = Clause(random_literal(rng, SIG_UNARY, 3) for _ in range(rng.randint(1, 3)))
     assert clause_distance(c, d) == brute_force_hausdorff(c, d)
+
+
+def oracle_clause_distance(c: Clause, d: Clause) -> Fraction:
+    """brute_force_hausdorff on the Fraction recursion of the literals."""
+    forward = max(min(oracle_literal_distance(l, m) for m in d.literals) for l in c.literals)
+    backward = max(min(oracle_literal_distance(l, m) for l in c.literals) for m in d.literals)
+    return max(forward, backward)
+
+
+def test_lgg_pairs_each_clause_with_its_fraction_nearest(monkeypatch):
+    rng = random.Random(2006)
+    chosen = []
+    pair = generalize._literal_lggs
+    monkeypatch.setattr(
+        generalize, "_literal_lggs", lambda c, d, table: chosen.append((c, d)) or pair(c, d, table)
+    )
+    with_ties = 0
+    for _ in range(300):
+        a = [random_definite_clause(rng, SIG_UNARY, 3) for _ in range(rng.randint(1, 3))]
+        b = {random_definite_clause(rng, SIG_UNARY, 3) for _ in range(rng.randint(2, 4))}
+        if rng.random() < 0.3:
+            # A variant ties with its original at every distance.
+            c = next(iter(b))
+            b.add(apply_to_clause(c, {v: Var(v.name + "1") for v in c.variables()}))
+        chosen.clear()
+        generalize.lgg_clause_sets(frozenset(a), frozenset(b))
+        for c, nearest in chosen:
+            distance = {d: oracle_clause_distance(c, d) for d in b}
+            assert distance == {d: clause_distance(c, d) for d in b}
+            # Variants tie on canonical text too; either is the nearest.
+            oracle = min(sorted(b, key=render_clause), key=distance.__getitem__)
+            assert render_clause(nearest) == render_clause(oracle), (c, b)
+            with_ties += list(distance.values()).count(distance[nearest]) > 1
+        assert {c for c, _ in chosen} == set(a)
+    assert with_ties > 50, with_ties
 
 
 # --- priority pre-order ------------------------------------------------------

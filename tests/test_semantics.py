@@ -15,6 +15,7 @@ from hornlearn import (
     bounded_universe,
     covers,
     fact,
+    is_covered,
     least_model_bounded,
     parse_program,
     reduce_program,
@@ -244,6 +245,16 @@ def test_covers_vacuous_on_empty_examples():
 def test_covers_rejects_too_deep_example_with_hint():
     with pytest.raises(ValueError, match="at least 9"):
         covers(CHAIN_UP, {even_atom(8)}, 7)
+
+
+def test_is_covered_refuses_as_covers_does():
+    # Too deep, not ground, and negative: each refusal has one text.
+    for e in (even_atom(8), atom("p", Var("X")), even_atom(1).negated()):
+        with pytest.raises(ValueError) as expected:
+            covers(CHAIN_UP, {e}, 7)
+        with pytest.raises(ValueError) as got:
+            is_covered(CHAIN_UP, e, 7)
+        assert str(got.value) == str(expected.value)
 
 
 def test_covers_widens_signature_with_example_symbols():

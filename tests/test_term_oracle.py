@@ -306,7 +306,7 @@ def test_intern_table_drops_unreferenced_terms():
     leaf = Fn("probe_leaf")
     t = Fn("probe", (leaf, Var("ProbeVar")))
     subterms(t)  # the stored set refers back to t: a reference cycle
-    assert _interned[("probe", (leaf, Var("ProbeVar")))] is t
+    assert _interned[("probe", (leaf, Var("ProbeVar")))]() is t
     del t, leaf
     gc.collect()
     assert ("probe_leaf", ()) not in _interned
