@@ -78,7 +78,7 @@ def lgg_literals(l: Literal, m: Literal, table: PairTable) -> Literal | None:
     return Literal(l.positive, lgg_terms(l.term, m.term, table))
 
 
-def lgg_clauses(c: Clause, d: Clause, table: PairTable | None = None) -> Clause:
+def lgg_clauses(c: Clause, d: Clause) -> Clause:
     """All defined pairwise literal lggs under one shared pair table,
     deduplicated, then Plotkin-reduced.
 
@@ -88,7 +88,7 @@ def lgg_clauses(c: Clause, d: Clause, table: PairTable | None = None) -> Clause:
     both inputs. More than _LGG_CAP pairs of literals of equal (sign,
     predicate, arity) are refused before any lgg is built.
     """
-    result = _literal_lggs(c, d, PairTable() if table is None else table)
+    result = _literal_lggs(c, d, PairTable())
     return reduce_clause(result) if result.literals else result
 
 

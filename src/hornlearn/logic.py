@@ -9,37 +9,38 @@ depth 1.
 Terms, literals, clauses and programs are hash-consed (Filliâtre & Conchon,
 "Type-safe modular hash-consing", 2006): `Var`, `Fn`, `Literal`, `Clause`
 and `HornProgram` return the existing node for an equal value, so `==` is
-identity. A node is keyed on its constructor arguments, (name,), (functor,
-args), (positive, term), (literals,) or (clauses,), and stores the key's
-hash: the hash these classes computed when they were frozen dataclasses, so
-sets iterate as they did. A term node also stores its depth and groundness,
-computed from its children when it is built, its subterm and variable sets
-once first asked for, and its own-name text (variables by their own names)
-once it is first rendered; `syntax` fills that slot. A clause node stores
-its head/body views and its canonical text once first asked for, so a clause
-rebuilt equal to one still alive reads them; no lock guards them, since
-threads that race compute equal values. A program node checks that its
-clauses are definite, and records whether they are all range-restricted,
-once, when it is built; a refused program is never interned.
+identity and a node's hash is its identity. All nodes share one intern
+table, keyed on their constructor arguments: (name,), (functor, args),
+(positive, term), (literals,) or (clauses, HornProgram), so that the empty
+program's key differs from the empty clause's. A term node also stores its
+depth and groundness, computed from its children when it is built, its
+subterm and variable sets once first asked for, and its own-name text
+(variables by their own names) once it is first rendered; `syntax` fills
+that slot. A clause node stores its head/body views and its canonical text
+once first asked for, so a clause rebuilt equal to one still alive reads
+them; no lock guards them, since threads that race compute equal values. A
+program node checks that its clauses are definite, and records whether they
+are all range-restricted, once, when it is built; a refused program is never
+interned.
 
-The intern tables are plain dicts from a key to a weak reference to its node
+The intern table is a plain dict from a key to a weak reference to its node
 that also keeps the key. A constructor looks the key up and calls the
-reference: a hit is one dict lookup and one call, about 0.3 µs for a
+reference: a hit is one dict lookup and one call, about 0.25 µs for a
 `Literal`. A miss builds the node and stores its reference under one lock,
 replacing a reference whose node has died; a miss whose node later dies
-costs about 2 µs in all (2-core VM, Python 3.11). The tables stay weak: a
-node nothing else refers to leaves its table when its reference's callback
-runs, and what was stored on it goes with it. The callback removes an entry
-only while it holds a dead reference, so a node built again in the meantime
-keeps its entry. Programs have their own table, because the empty program's
-key equals the empty clause's.
+costs about 1.6 µs in all (2-core VM, Python 3.11). The table stays weak: a
+node nothing else refers to leaves it when its reference's callback runs,
+and what was stored on it goes with it. The callback removes an entry only
+while it holds a dead reference, so a node built again in the meantime
+keeps its entry.
 
 A literal is a sign and an atom, and the atom is a term rooted at the
 predicate symbol (Plotkin 1970), so matching, lgg, distance and rendering of
 literals are the term walks themselves. The argument views (`literal_subterms`,
 `HornProgram.signature`) leave the predicate node out: a predicate is not a
-term of the universe. Output never depends on the order a set iterates
-in: what is rendered is sorted first.
+term of the universe. A set of nodes iterates in the order the allocator
+placed them, which can differ from process to process; output never depends
+on it: what is rendered is sorted first.
 """
 
 from __future__ import annotations
@@ -50,9 +51,8 @@ from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-# key -> _Ref to the node: plain dicts of weak references (module docstring).
+# key -> _Ref to the node: a plain dict of weak references (module docstring).
 _interned: dict[tuple, "_Ref"] = {}
-_programs: dict[tuple, "_Ref"] = {}
 _intern_lock = threading.Lock()
 _set = object.__setattr__
 
@@ -62,31 +62,21 @@ class _Ref(weakref.ref):
     key, so that the node's death removes the entry."""
 
     __slots__ = ("key",)
-    table = _interned
 
 
-class _ProgramRef(_Ref):
-    __slots__ = ()
-    table = _programs
-
-
-def _drop(ref: _Ref, remove=_remove_dead_weakref) -> None:
+def _drop(ref: _Ref, remove=_remove_dead_weakref, table=_interned) -> None:
     """The death callback: remove the entry only while it still holds a dead
-    reference, so an entry that a new node has taken over stays. `remove` is
-    bound here because interpreter exit may clear the module's globals
-    before the last nodes die."""
-    remove(ref.table, ref.key)
+    reference, so an entry that a new node has taken over stays. `remove` and
+    `table` are bound here because interpreter exit may clear the module's
+    globals before the last nodes die."""
+    remove(table, ref.key)
 
 
 class _Node:
-    """A node is keyed on its constructor arguments (module docstring), and
-    the key's hash is the node's hash."""
+    """A node is keyed on its constructor arguments in the one intern table
+    (module docstring); its hash is its identity."""
 
-    __slots__ = ("_key", "_hash", "__weakref__")
-    _ref = _Ref
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ("_key", "__weakref__")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -105,20 +95,19 @@ class _Node:
         node = object.__new__(cls)
         node._fill(*key)
         _set(node, "_key", key)
-        _set(node, "_hash", hash(key))
-        ref = cls._ref(node, _drop)
+        ref = _Ref(node, _drop)
         ref.key = key
         with _intern_lock:
-            entry = ref.table.setdefault(key, ref)
+            entry = _interned.setdefault(key, ref)
             if entry is not ref:
                 other = entry()
                 if other is not None:
                     return other
-                ref.table[key] = ref
+                _interned[key] = ref
         return node
 
 
-# What a constructor's lookup `table.get(key, _DEAD)()` reads on a miss: a
+# What a constructor's lookup `_interned.get(key, _DEAD)()` reads on a miss: a
 # reference whose node is already gone.
 _DEAD = weakref.ref(object.__new__(_Node))
 
@@ -409,14 +398,16 @@ class HornProgram(_Node):
     since every model query asks it."""
 
     __slots__ = ("clauses", "range_restricted")
-    _ref = _ProgramRef
 
     def __new__(cls, clauses: Iterable[Clause] = ()) -> "HornProgram":
-        key = (frozenset(clauses),)
-        node = _programs.get(key, _DEAD)()
+        key = (frozenset(clauses), HornProgram)
+        node = _interned.get(key, _DEAD)()
         return cls._intern(key) if node is None else node
 
-    def _fill(self, clauses: frozenset[Clause]) -> None:
+    def __reduce__(self):
+        return (HornProgram, (self.clauses,))
+
+    def _fill(self, clauses: frozenset[Clause], _kind: type) -> None:
         for c in clauses:
             if not c.is_definite:
                 raise ValueError(f"non-definite clause in Horn program: {c}")

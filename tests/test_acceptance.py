@@ -30,6 +30,7 @@ from hornlearn import (
     theta_subsumes,
 )
 from hornlearn.cases import even_ascending_stream, even_atom, even_reordered_stream, numeral
+from hornlearn.generalize import _literal_lggs
 from hornlearn.logic import Var, term_variables
 from hornlearn.metric import is_simple_program
 from hornlearn.subsumption import program_variant_equal, reduce_clause
@@ -221,8 +222,12 @@ def test_criterion_7_lgg_property_suite():
             c = reduce_clause(random_definite_clause(rng, SIG_UNARY, max_depth=3, max_body=2))
             d = reduce_clause(random_definite_clause(rng, SIG_UNARY, max_depth=3, max_body=2))
 
+            # The table of the pairwise literal lggs that lgg_clauses reduces.
             table = PairTable()
-            g = lgg_clauses(c, d, table)
+            unreduced = _literal_lggs(c, d, table)
+            g = lgg_clauses(c, d)
+            if g != reduce_clause(unreduced):
+                violations += 1
             if g.literals:
                 if not theta_subsumes(g, c)[0] or not theta_subsumes(g, d)[0]:
                     violations += 1

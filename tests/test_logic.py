@@ -22,7 +22,7 @@ from hornlearn import (
 )
 from hornlearn import logic
 from hornlearn.cases import even_atom, numeral
-from hornlearn.logic import _interned, _programs, literal_subterms, term_variables
+from hornlearn.logic import _interned, literal_subterms, term_variables
 from hornlearn.syntax import render_clause
 
 from conftest import cumulative
@@ -168,19 +168,20 @@ def test_unpickling_an_unreferenced_term_interns_it_again():
 
 
 def test_the_empty_clause_is_not_the_empty_program():
-    # Both key on (frozenset(),); programs have their own table.
+    # Both are empty sets; the program's key in the one table carries its class.
     empty_clause, empty_program = Clause(()), HornProgram()
     assert type(empty_clause) is Clause and type(empty_program) is HornProgram
     assert empty_clause is Clause([]) and empty_program is HornProgram(())
     assert empty_clause != empty_program
-    assert hash(empty_clause) == hash(empty_program) == hash((frozenset(),))
+    for x in (empty_clause, empty_program):
+        assert _interned[x._key]() is x and hash(x) == object.__hash__(x)
     assert len(empty_clause) == len(empty_program) == 0
 
 
 def test_pickle_and_copy_give_back_the_literal_clause_and_program_nodes():
     program = parse_program("p(0).\np(s(s(X))) :- p(X), q(f(X, 0)).")
     rule = next(c for c in program if not c.is_unit)
-    for x in (rule.head, rule.negatives[0], rule, program):
+    for x in (rule.head, rule.negatives[0], rule, program, Clause(()), HornProgram()):
         assert pickle.loads(pickle.dumps(x)) is x
         assert copy.copy(x) is x and copy.deepcopy(x) is x
 
@@ -191,14 +192,14 @@ def test_unreferenced_clauses_and_programs_leave_their_tables():
     p = HornProgram((c,))
     render_clause(c)  # the stored text and views live on the node
     assert c.head is lit and c.unbound_head_variables == frozenset()
-    assert _interned[(c.literals,)]() is c and _programs[(p.clauses,)]() is p
+    assert _interned[(c.literals,)]() is c and _interned[(p.clauses, HornProgram)]() is p
     refs = [weakref.ref(x) for x in (lit, c, p)]
     del lit, c, p
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
     assert not any(
         isinstance(k[0], frozenset) and any("only_in_this_clause" in repr(x) for x in k[0])
-        for k in list(_interned.keys()) + list(_programs.keys())
+        for k in list(_interned.keys())
     )
 
 
@@ -312,4 +313,4 @@ def test_a_non_definite_program_is_refused_every_time():
     for _ in range(3):
         with pytest.raises(ValueError, match="non-definite"):
             HornProgram(clauses)
-        assert (clauses,) not in _programs
+        assert (clauses, HornProgram) not in _interned
