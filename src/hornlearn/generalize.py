@@ -3,10 +3,10 @@ Least general generalization over terms, literals, clauses and clause sets;
 saturation of an example against background knowledge.
 
 The lgg of two terms recurses argumentwise while root symbols agree and maps
-each mismatched ordered pair (t, s) to one fresh variable. The pair table is
-shared across a whole clause-pair lgg, so every occurrence of the same pair
-generalizes to the same variable; that consistency is what lets the lgg of
-two ground chain clauses come out as a single recursive rule.
+each mismatched ordered pair (t, s) to one fresh variable of a pair table
+shared across a whole clause-pair lgg. So the lgg of two ground chain
+clauses comes out as one recursive rule, and a clause-set lgg can decide on
+the literal pairs, before building it, whether it keeps it (lgg_clause_sets).
 """
 
 from __future__ import annotations
@@ -64,9 +64,7 @@ def lgg_terms(t: Term, s: Term, table: PairTable) -> Term:
     Variables act as 0-arity symbols, so lgg(X, X) = X."""
     if t == s:
         return t
-    if isinstance(t, Var) or isinstance(s, Var):
-        return table.variable_for(t, s)
-    if t.functor != s.functor or len(t.args) != len(s.args):
+    if type(t) is Var or type(s) is Var or t.functor != s.functor or len(t.args) != len(s.args):
         return table.variable_for(t, s)
     return Fn(t.functor, tuple([lgg_terms(a, b, table) for a, b in zip(t.args, s.args)]))
 
@@ -92,23 +90,45 @@ def lgg_clauses(c: Clause, d: Clause) -> Clause:
     return reduce_clause(result) if result.literals else result
 
 
-def _literal_lggs(c: Clause, d: Clause, table: PairTable) -> Clause:
-    """lgg_clauses before reduction: every defined pairwise literal lgg."""
+def _literal_pairs(c: Clause, d: Clause) -> list[tuple[Literal, Literal]]:
+    """The defined literal pairs (equal sign and predicate) in canonical
+    order; more than _LGG_CAP are refused before any is listed."""
     d_keys = Counter((l.positive, l.pred_key) for l in d.literals)
     pairs = sum(d_keys[l.positive, l.pred_key] for l in c.literals)
     if pairs > _LGG_CAP:
         raise ValueError(
             f"lgg would pair {pairs} literals of equal sign and predicate (cap {_LGG_CAP})"
         )
+    ordered = product(*(sorted(x.literals, key=literal_order) for x in (c, d)))
+    return [(l, m) for l, m in ordered if (l.positive, l.pred_key) == (m.positive, m.pred_key)]
+
+
+def _literal_lggs(c: Clause, d: Clause, table: PairTable) -> Clause:
+    """lgg_clauses before reduction: every defined pairwise literal lgg."""
     table.reserve({v.name for v in c.variables() | d.variables()})
-    out = []
-    d_sorted = sorted(d.literals, key=literal_order)
-    for l in sorted(c.literals, key=literal_order):
-        for m in d_sorted:
-            g = lgg_literals(l, m, table)
-            if g is not None:
-                out.append(g)
-    return Clause(out)
+    return Clause([lgg_literals(l, m, table) for l, m in _literal_pairs(c, d)])
+
+
+def _lgg_variables(t: Term, s: Term) -> set[tuple[Term, Term]]:
+    """The variables of lgg_terms(t, s) named by their pairs, (v, v) for a
+    variable v of an equal subterm; one explicit-stack walk builds nothing."""
+    out, stack = set(), [(t, s)]
+    while stack:
+        t, s = stack.pop()
+        if type(t) is Var or type(s) is Var or t.functor != s.functor or len(t.args) != len(s.args):
+            out.add((t, s))
+        elif t is not s or not t.ground:
+            stack += zip(t.args, s.args)
+    return out
+
+
+def _keeps(pairs: list[tuple[Literal, Literal]]) -> bool:
+    """Whether lgg_clause_sets keeps the lgg of these pairs, unbuilt."""
+    heads = [(l.term, m.term) for l, m in pairs if l.positive]
+    if len(heads) != 1:
+        return bool(pairs)
+    body = (_lgg_variables(l.term, m.term) for l, m in pairs if not l.positive)
+    return not _lgg_variables(*heads[0]).difference(*body)
 
 
 def lgg_clause_sets(
@@ -119,26 +139,32 @@ def lgg_clause_sets(
     the first in canonical order) and keep the nonempty reduced lggs, except
     definite ones that are not range-restricted. A b of one clause is nearest
     to every clause, so no distance is computed; otherwise only clauses tied
-    at the least distance are rendered. The filter is asked before reduction,
-    which keeps a definite clause range-restricted exactly when it was: the
-    reduced body is a subset of the clause's, and θ fixes every head variable.
-    A two-headed lgg may reduce to a definite clause, so it is kept. Distance
+    at the least distance are rendered. Within the cap, the keep test is
+    decided on the literal pairs, so only a kept lgg is built and reduced.
+    It is exact: the pair table is injective, so the lgg has one literal per
+    defined pair and one variable per generalized pair; and reduction keeps
+    a definite clause range-restricted exactly when it was, since the reduced
+    body is a subset of the clause's and θ fixes every head variable. A
+    two-headed lgg may reduce to a definite clause, so it is kept. Distance
     is undefined for the empty clause, so an empty set or clause is refused."""
     if not a or not b or not all(a) or not all(b):
         raise ValueError("lgg over clause sets requires nonempty sets of nonempty clauses")
     out = set()
     for c in a:
-        if len(b) == 1:
-            (nearest,) = b
-        else:
-            agreements = [(clause_agreement(c, d), d) for d in b]
-            most = max(m for m, _ in agreements)
-            ties = [d for m, d in agreements if m == most]
-            nearest = min(ties, key=render_clause) if len(ties) > 1 else ties[0]
-        g = _literal_lggs(c, nearest, PairTable())
-        if g.literals and (not g.is_definite or g.range_restricted):
-            out.add(reduce_clause(g))
+        nearest = _nearest(c, b)
+        if _keeps(_literal_pairs(c, nearest)):
+            out.add(reduce_clause(_literal_lggs(c, nearest, PairTable())))
     return frozenset(out)
+
+
+def _nearest(c: Clause, b: frozenset[Clause] | set[Clause]) -> Clause:
+    """The clause of b at the largest agreement with c, ties to canonical order."""
+    if len(b) == 1:
+        return next(iter(b))
+    agreements = [(clause_agreement(c, d), d) for d in b]
+    most = max(m for m, _ in agreements)
+    ties = [d for m, d in agreements if m == most]
+    return min(ties, key=render_clause) if len(ties) > 1 else ties[0]
 
 
 class SaturationPolicy(Enum):

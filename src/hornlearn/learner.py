@@ -371,7 +371,9 @@ def run_stream(
             restarted_from = None
         else:
             program, action, restarted_from = pgolem_step(run, e)
-        simple = is_simple_program(program)
+        # A stage that returns the previous program node keeps its `simple`.
+        if not records or program is not records[-1].program:
+            simple = is_simple_program(program)
         records.append(StageRecord(stage, e, action, restarted_from, program, simple))
     return records
 

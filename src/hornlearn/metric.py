@@ -54,13 +54,15 @@ def _agreement(t: Term, s: Term) -> int | float:
         for a, b in level:
             # A variable never shares a root with anything else.
             if (
-                isinstance(a, Var)
-                or isinstance(b, Var)
+                type(a) is Var
+                or type(b) is Var
                 or a.functor != b.functor
                 or len(a.args) != len(b.args)
             ):
                 return m
-            below += [(x, y) for x, y in zip(a.args, b.args) if x is not y]
+            for x, y in zip(a.args, b.args):
+                if x is not y:
+                    below.append((x, y))
         level = below
         m += 1
 

@@ -30,6 +30,7 @@ from hornlearn import (
     theta_subsumes,
 )
 from hornlearn.cases import numeral
+from hornlearn.generalize import _literal_lggs
 from hornlearn.learner import _enforce_simplicity, _keep_learned
 from hornlearn.logic import term_variables
 from hornlearn.semantics import least_model_bounded
@@ -42,7 +43,10 @@ from conftest import (
     random_atom,
     random_clause,
     random_definite_clause,
+    random_literal,
+    random_simple_clause,
     random_simple_program,
+    random_term,
 )
 
 ZERO = Fn("0")
@@ -283,6 +287,77 @@ def test_clause_set_lgg_pairs_with_a_lone_clause_without_a_distance(monkeypatch)
         a = {random_definite_clause(rng, SIG_UNARY, 3) for _ in range(rng.randint(1, 3))}
         d = random_definite_clause(rng, SIG_UNARY, 3)
         assert lgg_clause_sets(a, {d}) == oracle_lgg_clause_sets(a, {d})
+
+
+def oracle_keeps(c, d):
+    """The keep test lgg_clause_sets replaced: build every defined literal
+    lgg, then keep the lgg if it is nonempty and not definite-unrestricted."""
+    g = _literal_lggs(c, d, PairTable())
+    return bool(g.literals) and (not g.is_definite or g.range_restricted)
+
+
+def random_lgg_operand(rng, sig, depth):
+    """A definite clause, a clause of any signs (headless or many-headed) or
+    a unit clause."""
+    draw = rng.random()
+    if draw < 0.4:
+        return random_definite_clause(rng, sig, depth, max_body=3)
+    if draw < 0.8:
+        return random_clause(rng, sig, depth, max_literals=4)
+    return Clause((random_literal(rng, sig, depth, ground=rng.random() < 0.5),))
+
+
+def random_lgg_pair(rng, sig, depth):
+    """Two random operands, or in a quarter of the draws two ground instances
+    of one clause whose body reuses its head's subterms, as two saturations
+    of one background are."""
+    if rng.random() < 0.75:
+        return random_lgg_operand(rng, sig, depth), random_lgg_operand(rng, sig, depth)
+    c = random_simple_clause(rng, sig, depth, max_body=3)
+    return tuple(
+        apply_to_clause(c, {v: random_term(rng, sig[0], 2) for v in c.variables()})
+        for _ in range(2)
+    )
+
+
+@pytest.mark.parametrize("sig,depth", [(SIG_UNARY, 4), (SIG_BINARY, 3)], ids=["unary", "binary"])
+def test_keep_decision_on_the_pairs_equals_building_then_filtering(monkeypatch, sig, depth):
+    # Reduction is left out, so lgg_clause_sets returns the lgg it built.
+    monkeypatch.setattr(generalize, "reduce_clause", lambda g: g)
+    rng = random.Random(1970 + depth)
+    outcomes = Counter()
+    for _ in range(5_000):
+        c, d = random_lgg_pair(rng, sig, depth)
+        g = _literal_lggs(c, d, PairTable())
+        keep = oracle_keeps(c, d)
+        assert generalize._keeps(generalize._literal_pairs(c, d)) == keep, (c, d)
+        assert lgg_clause_sets({c}, {d}) == (frozenset((g,)) if keep else frozenset()), (c, d)
+        outcomes[keep, bool(g.literals) and g.is_definite] += 1
+    # Kept and dropped definite lggs, kept non-definite ones and empty ones.
+    assert len(outcomes) == 4 and min(outcomes.values()) > 300, outcomes
+
+
+def test_keep_decision_on_deep_chains_builds_nothing():
+    # lgg_terms recurses once per level; the keep walk does not, so a dropped
+    # lgg of two 10,000-deep chains is decided without a RecursionError.
+    deep, deeper = ZERO, s(ZERO)
+    for _ in range(10_000):
+        deep, deeper = s(deep), s(deeper)
+    c, d = fact(atom("p", deep)), fact(atom("p", deeper))
+    assert lgg_clause_sets({c}, {d}) == frozenset()
+    assert not generalize._keeps(generalize._literal_pairs(c, d))
+
+
+def test_a_pair_over_the_cap_is_refused_before_its_keep_test(monkeypatch):
+    # 1 head pair and 21 x 21 body pairs; the head variable is bound by no
+    # body pair, so the lgg would be dropped, yet the cap refuses it first.
+    c = Clause([atom("p", Var("Y"))] + [neg("q", numeral(k)) for k in range(21)])
+    d = Clause([atom("p", ZERO)] + [neg("q", s(numeral(k))) for k in range(21)])
+    with pytest.raises(ValueError, match=r"lgg would pair 442 literals .*\(cap 420\)"):
+        lgg_clause_sets({c}, {d})
+    monkeypatch.setattr(generalize, "_LGG_CAP", 442)
+    assert lgg_clause_sets({c}, {d}) == frozenset()
+    assert not oracle_keeps(c, d)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -24,6 +25,7 @@ from hornlearn.learner import (
     golem_step,
     pgolem_step,
 )
+from hornlearn.metric import is_simple_program
 from hornlearn.semantics import covers
 from hornlearn.subsumption import program_variant_equal
 
@@ -284,6 +286,28 @@ def test_random_streams_stay_correct_under_pgolem(rng):
             seen = cumulative(stream, rec.stage)
             assert all(covers(rec.program, seen, cfg.depth_bound).values())
             assert rec.simple
+
+
+@pytest.mark.parametrize("system", list(System), ids=lambda s: s.value)
+def test_every_record_reads_the_simplicity_of_its_own_program(system):
+    # run_stream reuses the previous record's `simple` for a stage that
+    # returns the same program node; every record must still read its own.
+    from conftest import SIG_BINARY, SIG_UNARY, random_stream
+
+    rng = random.Random(2026)
+    reused = changed = 0
+    for k in range(80):
+        sig = SIG_UNARY if k % 2 else SIG_BINARY
+        stream = random_stream(rng, sig, max_depth=4, max_arrivals=8)
+        records = run_stream(stream, config_for_stream(stream, system))
+        for before, rec in zip([None] + records, records):
+            assert rec.simple == is_simple_program(rec.program), (stream, rec.stage)
+            if before is not None and rec.program is before.program:
+                reused += 1
+            elif before is not None and rec.simple != before.simple:
+                changed += 1
+    # pgolem's snapshots are simple by construction, so only golem's change.
+    assert reused > 50 and (changed > 10 or system is System.PRIORITIZED_GOLEM), (reused, changed)
 
 
 def test_pgolem_eventually_constant_once_closure_enumerated(rng):

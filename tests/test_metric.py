@@ -220,9 +220,9 @@ def oracle_clause_distance(c: Clause, d: Clause) -> Fraction:
 def test_lgg_pairs_each_clause_with_its_fraction_nearest(monkeypatch):
     rng = random.Random(2006)
     chosen = []
-    pair = generalize._literal_lggs
+    nearest_of = generalize._nearest
     monkeypatch.setattr(
-        generalize, "_literal_lggs", lambda c, d, table: chosen.append((c, d)) or pair(c, d, table)
+        generalize, "_nearest", lambda c, b: chosen.append((c, nearest_of(c, b))) or chosen[-1][1]
     )
     with_ties = 0
     for _ in range(300):

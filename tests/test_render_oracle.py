@@ -401,17 +401,25 @@ def test_literal_order_sorts_as_the_oracle_text(rng, sig):
         assert sorted(lits, key=literal_order) == want, lits
 
 
-# sha256 of the trace `hornlearn learn --trace` writes for each stream,
-# recorded before nodes stored their text. The golden traces stop far
-# shallower.
+# sha256 of the trace `hornlearn learn --trace` writes for each stream. golem
+# 96 and pgolem 48 were recorded before nodes stored their text, the others
+# before the clause-set lgg decided its keep test on the literal pairs. The
+# golden traces stop far shallower.
 DESCENDING_TRACE_SHA256 = {
+    (System.GOLEM, 64): "d71179b5f55109c59dfc968d8d96226dbf83a3a02f43b8114dcd0b1c4fb5f854",
     (System.GOLEM, 96): "17a91b6c254af07064c4a4638b33675b56b99f47b31acf4de8c09b0998b6e65c",
     (System.PRIORITIZED_GOLEM, 48): "d3afd60a913488df396287c45d5abfe2d55893ed78512dd30ce1d4c581213802",
+    (System.PRIORITIZED_GOLEM, 64): "643bf1f06dd04a082eb6e8e71e3eed3f63b8f9b823603db8db6ddc252e957d84",
+    (System.PRIORITIZED_GOLEM, 96): "402dbf85a920fe110fa428e791e6e8c745fce9caa5305210531a7755698716f6",
 }
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("system,stages", list(DESCENDING_TRACE_SHA256), ids=["golem-96", "pgolem-48"])
+@pytest.mark.parametrize(
+    "system,stages",
+    list(DESCENDING_TRACE_SHA256),
+    ids=[f"{system.value}-{stages}" for system, stages in DESCENDING_TRACE_SHA256],
+)
 def test_descending_trace_bytes_at_depth_are_pinned(system, stages):
     stream = ExampleStream(even_atom(2 * k) for k in reversed(range(stages)))
     records = run_stream(stream, config_for_stream(stream, system))
