@@ -198,14 +198,14 @@ def _golden_check(text: str, golden_name: str) -> tuple[str, bool]:
 
 
 def _fold(outdir: Path, name: str, stream: ExampleStream, system: System,
-          window: int | None = None, depth: int | None = None):
+          depth: int | None = None):
     """Run the learner over the stream and write <name>.trace.jsonl and
     <name>.report.json; returns the trace text, the records and the report."""
     cfg = config_for_stream(stream, system)
     records = run_stream(stream, cfg)
     text = trace_text(records)
     (outdir / f"{name}.trace.jsonl").write_text(text, encoding="utf-8")
-    report = _analyze(records, window, depth or cfg.depth_bound)
+    report = _analyze(records, None, depth or cfg.depth_bound)
     (outdir / f"{name}.report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     return text, records, report
 
@@ -228,7 +228,7 @@ def _example_31(outdir: Path):
 
 def _example_32(outdir: Path):
     text, _, report = _fold(
-        outdir, "example-3.2", even_reordered_stream(12), System.GOLEM, window=4, depth=14
+        outdir, "example-3.2", even_reordered_stream(12), System.GOLEM, depth=14
     )
     yield _golden_check(text, "example-3.2.trace.jsonl")
     yield "verdict is convergent-modulo-transients", (
@@ -264,7 +264,7 @@ def _pgolem_fix(outdir: Path):
         ("reordered", even_reordered_stream(12)),
     ):
         _, records, report = _fold(
-            outdir, f"pgolem-fix.{order}", stream, System.PRIORITIZED_GOLEM, window=4
+            outdir, f"pgolem-fix.{order}", stream, System.PRIORITIZED_GOLEM
         )
         yield f"non-simple snapshot on {order} order", all(rec.simple for rec in records)
         yield f"{order} order verdict {report.verdict.value}", report.verdict is Verdict.STABLE

@@ -21,15 +21,16 @@ Two drivers share the same machinery:
   snapshot before that stage, replaying the pending arrivals in ascending
   priority order. Extensions restrict saturation bodies to higher-priority
   atoms and drop generalized body literals whose subterms do not occur in
-  the head, so every snapshot is a simple program by construction. Every
-  stage steps one run state, which run_stream builds once from the config
-  and the background and which dies with the call. It holds the arrivals;
-  the snapshot before each stage, the base of a restart to that stage; the
-  strictly_precedes relation over arrival indices, each ordered pair tested
-  once, when an uncovered arrival first needs it, from which the restart
-  stage and the replay order are read; and a table from (program, arrival)
-  to the program after that replay step, so a replay that reaches a step
-  again does not ask coverage or extend again.
+  the head, so every snapshot is a simple program by construction.
+
+Both learners step one run state, built by run_stream from the config and
+the background and dead when it returns. Its stage records are the run's
+only history: the snapshot before stage j is record j - 1's program, or
+the background at stage 0. For pgolem it also holds the strictly_precedes
+relation over arrival indices, each ordered pair tested once, from which
+the restart stage and the replay order are read; and a table from
+(program, arrival) to the program after that replay step, so a replay that
+reaches a step again does not ask coverage or extend again.
 
 Learned clauses are kept only if definite and range-restricted (head
 variables all occur in the body); degenerate generalizations such as
@@ -88,7 +89,10 @@ class StageRecord:
     action: Action
     restarted_from: int | None
     program: HornProgram
-    simple: bool
+
+    @property
+    def simple(self) -> bool:
+        return is_simple_program(self.program)
 
     def action_text(self) -> str:
         if self.action is Action.RESTARTED:
@@ -107,8 +111,8 @@ class StageRecord:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StageRecord":
-        """Inverse of to_json_dict; `simple` is recomputed when absent. A
-        record that to_json_dict cannot have written is a ValueError."""
+        """Inverse of to_json_dict; `simple` may be absent. A record that
+        to_json_dict cannot have written is a ValueError."""
         if not isinstance(obj, dict):
             raise ValueError("trace record is not a JSON object")
         for key, kind in (("stage", int), ("example", str), ("action", str), ("program", str)):
@@ -118,7 +122,7 @@ class StageRecord:
             raise ValueError(f"trace field 'stage' is not a stage number: {obj['stage']!r}")
         if not isinstance(obj.get("simple", False), bool):
             raise ValueError(f"trace field 'simple' is not a bool: {obj['simple']!r}")
-        action = re.fullmatch(r"(covered|extended)|restarted\((\d+)\)", obj["action"])
+        action = re.fullmatch(r"(covered|extended)|restarted\((0|[1-9][0-9]*)\)", obj["action"])
         if action is None:
             raise ValueError(f"unknown trace action {obj['action']!r}")
         restarted_from = int(action[2]) if action[2] else None
@@ -130,15 +134,16 @@ class StageRecord:
         example = parse_atom(obj["example"])
         if not example.term.ground:
             raise ValueError(f"example is not ground: {render_literal(example)}")
-        program = parse_program(obj["program"])
-        return cls(
+        record = cls(
             stage=obj["stage"],
             example=example,
             action=Action(action[1] or "restarted"),
             restarted_from=restarted_from,
-            program=program,
-            simple=obj["simple"] if "simple" in obj else is_simple_program(program),
+            program=parse_program(obj["program"]),
         )
+        if "simple" in obj and obj["simple"] is not record.simple:
+            raise ValueError(f"trace field 'simple' contradicts its program: {obj['simple']!r}")
+        return record
 
 
 def trace_text(records: list[StageRecord]) -> str:
@@ -212,65 +217,69 @@ def _enforce_simplicity(c: Clause) -> Clause:
     return Clause(c.literals - set(dropped)) if dropped else c
 
 
-def golem_step(
-    current: HornProgram, e: Literal, cfg: LearnerConfig
-) -> tuple[HornProgram, Action]:
-    if is_covered(current, e, cfg.depth_bound):
-        swap_out = [
-            f
-            for f in current.facts
-            if f.head != e and priority_precedes(e, f.head)
-        ]
-        if swap_out:
-            # Forgetful fact rotation: a covered arrival replaces every
-            # other retained fact it is priority-below, equal priority
-            # included.
-            program = reduce_program(
-                current.without_clauses(swap_out).with_clauses((fact(e),)),
-                cfg.depth_bound,
-            )
-            return program, Action.COVERED
-        return current, Action.COVERED
-    return _extend(current, e, cfg), Action.EXTENDED
+def golem_step(run: _Run, e: Literal) -> tuple[HornProgram, Action, None]:
+    """One golem stage: e, the run's last arrival, against the program before it."""
+    current, cfg = run.snapshot(len(run.records)), run.cfg
+    if not is_covered(current, e, cfg.depth_bound):
+        return _extend(current, e, cfg), Action.EXTENDED, None
+    # Forgetful fact rotation: a covered arrival replaces every other
+    # retained fact it is priority-below, equal priority included.
+    swap_out = [f for f in current.facts if f.head != e and priority_precedes(e, f.head)]
+    if swap_out:
+        current = reduce_program(
+            current.without_clauses(swap_out).with_clauses((fact(e),)), cfg.depth_bound
+        )
+    return current, Action.COVERED, None
 
 
-def pgolem_step(run: _PgolemRun, e: Literal) -> tuple[HornProgram, Action, int | None]:
-    """One prioritized stage: e arrives after every arrival the run has
-    stepped through, and the program after it is the next stage's snapshot."""
-    current = run.snapshots[-1]
-    run.arrivals.append(e)
-    program, action, j = current, Action.COVERED, None
-    if not is_covered(current, e, run.cfg.depth_bound):
-        run.relate()
-        j = run.restart_stage()
-        if j is None:
-            program, action = _extend(current, e, run.cfg), Action.EXTENDED
-        else:
-            program, action = run.replay(j), Action.RESTARTED
-    run.snapshots.append(program)
-    return program, action, j
+def pgolem_step(run: _Run, e: Literal) -> tuple[HornProgram, Action, int | None]:
+    """The prioritized stage, with golem_step's arguments."""
+    current = run.snapshot(len(run.records))
+    if is_covered(current, e, run.cfg.depth_bound):
+        return current, Action.COVERED, None
+    run.relate()
+    j = run.restart_stage()
+    if j is None:
+        return _extend(current, e, run.cfg), Action.EXTENDED, None
+    return run.replay(j), Action.RESTARTED, j
 
 
-class _PgolemRun:
-    """Everything a pgolem stage reads, each piece computed once.
+class _Run:
+    """One run of either learner: its arrivals and its stage records, and
+    everything a pgolem stage reads, each piece computed once.
 
-    `snapshots[i]` is the program before stage i (stage 0's is the
-    background). `later[i]` lists the arrivals that arrival i strictly
+    `records[i]` is stage i's record, so the program before stage j is
+    `snapshot(j)`. `later[i]` lists the arrivals that arrival i strictly
     precedes, and `latest[i]` is the latest arrival that strictly precedes
     arrival i (-1 if none), both as arrival indices. They cover the arrivals
     up to the last uncovered one: each ordered pair is tested once, when an
     uncovered arrival first needs it. `steps` maps (program, arrival) to the
     program after that replay step, covered or extended; both are
     deterministic, so a replay that reaches a step again reads it instead.
+    golem reads none of the three.
     """
 
     def __init__(self, cfg: LearnerConfig, background: HornProgram) -> None:
         self.cfg = cfg
+        self.background = background
         self.arrivals: list[Literal] = []
-        self.snapshots = [background]
+        self.records: list[StageRecord] = []
         self.later: list[list[int]] = []
         self.latest: list[int] = []
         self.steps: dict[tuple[HornProgram, Literal], HornProgram] = {}
+
+    def snapshot(self, j: int) -> HornProgram:
+        """The program before stage j."""
+        return self.records[j - 1].program if j else self.background
+
+    def step(self, e: Literal) -> StageRecord:
+        """Fold one arrival; its record is the run's next."""
+        self.arrivals.append(e)
+        stage = golem_step if self.cfg.system is System.GOLEM else pgolem_step
+        program, action, restarted_from = stage(self, e)
+        record = StageRecord(len(self.records), e, action, restarted_from, program)
+        self.records.append(record)
+        return record
 
     def relate(self) -> None:
         """Extend the relation to every arrival so far."""
@@ -338,7 +347,7 @@ class _PgolemRun:
         """Rerun prioritized learning from the snapshot before stage j over
         arrivals[j:] in ascending priority order; sorted input never
         restarts again."""
-        program, cfg = self.snapshots[j], self.cfg
+        program, cfg = self.snapshot(j), self.cfg
         for a in self.priority_sorted(j):
             key = (program, a)
             after = self.steps.get(key)
@@ -362,20 +371,10 @@ def run_stream(
         raise ValueError(
             f"depth bound {cfg.depth_bound} is below the deepest stream example ({deepest})"
         )
-    records: list[StageRecord] = []
-    run = _PgolemRun(cfg, background) if cfg.system is System.PRIORITIZED_GOLEM else None
-    program = background
-    for stage, e in enumerate(stream):
-        if cfg.system is System.GOLEM:
-            program, action = golem_step(program, e, cfg)
-            restarted_from = None
-        else:
-            program, action, restarted_from = pgolem_step(run, e)
-        # A stage that returns the previous program node keeps its `simple`.
-        if not records or program is not records[-1].program:
-            simple = is_simple_program(program)
-        records.append(StageRecord(stage, e, action, restarted_from, program, simple))
-    return records
+    run = _Run(cfg, background)
+    for e in stream:
+        run.step(e)
+    return run.records
 
 
 def config_for_stream(

@@ -70,7 +70,7 @@ class LimitReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=False)
+        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def default_window(stages: int) -> int:

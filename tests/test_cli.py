@@ -402,11 +402,21 @@ def assert_one_line_parse_error(code, err, needle):
          "stage 7 does not follow stage 0 (line 2"),
         ('{"stage": 1, "example": "p(0)", "action": "restarted(9)", "program": "p(0)."}',
          "trace action 'restarted(9)' does not restart at an earlier stage than 1 (line 2"),
+        ('{"stage": 1, "example": "p(0)", "action": "restarted(01)", "program": "p(0)."}',
+         "unknown trace action 'restarted(01)' (line 2"),
+        ('{"stage": 1, "example": "p(0)", "action": "restarted(\\u0663)", "program": "p(0)."}',
+         "unknown trace action 'restarted(\u0663)' (line 2"),
+        ('{"stage": 1, "example": "p(0)", "action": "covered", '
+         '"program": "p(X) :- p(s(s(X))).", "simple": true}',
+         "trace field 'simple' contradicts its program: True (line 2"),
+        ('{"stage": 1, "example": "p(0)", "action": "covered", "program": "p(0).", "simple": false}',
+         "trace field 'simple' contradicts its program: False (line 2"),
     ],
     ids=[
         "not-json", "not-an-object", "missing-key", "unknown-action", "non-ground-example",
         "simple-not-bool", "simple-int", "stage-bool", "stage-negative", "stage-gap",
-        "restart-not-earlier",
+        "restart-not-earlier", "restart-leading-zero", "restart-non-ascii-digit",
+        "simple-true-contradicts", "simple-false-contradicts",
     ],
 )
 def test_analyze_malformed_trace_line_is_a_parse_error(tmp_path, capsys, line, needle):

@@ -18,13 +18,7 @@ from hornlearn import (
 )
 from hornlearn.cases import even_ascending_stream, even_atom, even_reordered_stream
 import hornlearn.syntax as syntax
-from hornlearn.learner import (
-    _enforce_simplicity,
-    _keep_learned,
-    _PgolemRun,
-    golem_step,
-    pgolem_step,
-)
+from hornlearn.learner import _enforce_simplicity, _keep_learned, _Run
 from hornlearn.metric import is_simple_program
 from hornlearn.semantics import covers
 from hornlearn.subsumption import program_variant_equal
@@ -175,27 +169,31 @@ def test_pgolem_order_insensitive_over_prefix_permutations():
 # --- step-level details --------------------------------------------------------
 
 
+# golem_step reads the program before its stage from the run, so these
+# tests step a run whose background is that program.
+
+
 def test_golem_step_stage_zero_yields_unit_fact():
     cfg = LearnerConfig(depth_bound=8)
-    program, action = golem_step(HornProgram(), even_atom(0), cfg)
-    assert render_program(program) == fact_text(0)
-    assert action is Action.EXTENDED
+    record = _Run(cfg, HornProgram()).step(even_atom(0))
+    assert render_program(record.program) == fact_text(0)
+    assert record.action is Action.EXTENDED
 
 
 def test_golem_step_covered_leaves_program_unchanged_without_swap_target():
     current = parse_program(fact_text(0) + "\n" + RULE_UP)
     cfg = LearnerConfig(depth_bound=12)
-    program, action = golem_step(current, even_atom(4), cfg)
-    assert program == current
-    assert action is Action.COVERED
+    record = _Run(cfg, current).step(even_atom(4))
+    assert record.program == current
+    assert record.action is Action.COVERED
 
 
 def test_golem_step_covered_swaps_priority_lower_fact():
     current = parse_program(RULE_DOWN + "\n" + fact_text(10))
     cfg = LearnerConfig(depth_bound=15)
-    program, action = golem_step(current, even_atom(8), cfg)
-    assert action is Action.COVERED
-    assert render_program(program) == RULE_DOWN + "\n" + fact_text(8)
+    record = _Run(cfg, current).step(even_atom(8))
+    assert record.action is Action.COVERED
+    assert render_program(record.program) == RULE_DOWN + "\n" + fact_text(8)
 
 
 def test_golem_rotates_a_fact_of_equal_priority():
@@ -213,28 +211,28 @@ def test_golem_rotates_a_fact_of_equal_priority():
     ]
 
 
-def pgolem_run_after(arrivals, cfg: LearnerConfig) -> _PgolemRun:
+def pgolem_run_after(arrivals, cfg: LearnerConfig) -> _Run:
     """A run stepped by hand through the arrivals, from the empty program."""
-    run = _PgolemRun(cfg, HornProgram())
+    run = _Run(cfg, HornProgram())
     for e in arrivals:
-        pgolem_step(run, e)
+        run.step(e)
     return run
 
 
 def test_pgolem_step_no_restart_without_priority_inversion():
     cfg = LearnerConfig(system=System.PRIORITIZED_GOLEM, depth_bound=12)
     run = pgolem_run_after((even_atom(0), even_atom(2)), cfg)
-    _, action, frm = pgolem_step(run, even_atom(4))
-    assert action is Action.EXTENDED
-    assert frm is None
+    record = run.step(even_atom(4))
+    assert record.action is Action.EXTENDED
+    assert record.restarted_from is None
 
 
 def test_pgolem_step_restart_picks_least_stage():
     cfg = LearnerConfig(system=System.PRIORITIZED_GOLEM, depth_bound=12)
     run = pgolem_run_after((even_atom(6), even_atom(8)), cfg)
-    _, action, frm = pgolem_step(run, even_atom(2))
-    assert action is Action.RESTARTED
-    assert frm == 0
+    record = run.step(even_atom(2))
+    assert record.action is Action.RESTARTED
+    assert record.restarted_from == 0
 
 
 def test_run_stream_respects_background():
@@ -290,8 +288,8 @@ def test_random_streams_stay_correct_under_pgolem(rng):
 
 @pytest.mark.parametrize("system", list(System), ids=lambda s: s.value)
 def test_every_record_reads_the_simplicity_of_its_own_program(system):
-    # run_stream reuses the previous record's `simple` for a stage that
-    # returns the same program node; every record must still read its own.
+    # A stage that returns the previous program node, and one that does
+    # not, must each read the simplicity of its own program.
     from conftest import SIG_BINARY, SIG_UNARY, random_stream
 
     rng = random.Random(2026)
@@ -389,9 +387,9 @@ def test_strict_priority_changes_no_program_sequence(rng, monkeypatch):
             stream = random_stream(rng, sig, depth)
             new, new_actions = programs(stream)
             with monkeypatch.context() as m:
-                m.setattr(learner._PgolemRun, "restart_stage", old_restart_stage)
+                m.setattr(learner._Run, "restart_stage", old_restart_stage)
                 m.setattr(
-                    learner._PgolemRun,
+                    learner._Run,
                     "priority_sorted",
                     lambda run, j: old_priority_sorted(run.arrivals[j:]),
                 )

@@ -18,7 +18,6 @@ from hornlearn import (
 )
 from hornlearn.cases import even_ascending_stream, even_atom, even_reordered_stream
 from hornlearn.limits import default_window
-from hornlearn.metric import is_simple_program
 from hornlearn.syntax import render_clause
 
 A = fact(atom("a"))
@@ -36,7 +35,6 @@ def record(stage, program, example=None):
         action=Action.EXTENDED,
         restarted_from=None,
         program=program,
-        simple=is_simple_program(program),
     )
 
 

@@ -31,7 +31,7 @@ from hornlearn import (
     trace_text,
 )
 from hornlearn.cases import even_atom, numeral
-from hornlearn.learner import _PgolemRun
+from hornlearn.learner import _Run
 from hornlearn.logic import term_variables
 from hornlearn.metric import priority_precedes, strictly_precedes
 from hornlearn.semantics import least_model_bounded
@@ -108,10 +108,10 @@ def oracle_reduce_clause(c: Clause) -> Clause:
     return current
 
 
-def pgolem_run(arrivals: list[Literal]) -> _PgolemRun:
+def pgolem_run(arrivals: list[Literal]) -> _Run:
     """A run state whose relation covers the arrivals, as `pgolem_step`
     leaves it at an uncovered last arrival; no stage is learned."""
-    run = _PgolemRun(LearnerConfig(1, System.PRIORITIZED_GOLEM), HornProgram())
+    run = _Run(LearnerConfig(1, System.PRIORITIZED_GOLEM), HornProgram())
     run.arrivals.extend(arrivals)
     run.relate()
     return run
