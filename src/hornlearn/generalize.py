@@ -12,6 +12,7 @@ the literal pairs, before building it, whether it keeps it (lgg_clause_sets).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Collection
 from enum import Enum
 from itertools import product
 from math import prod
@@ -132,7 +133,7 @@ def _keeps(pairs: list[tuple[Literal, Literal]]) -> bool:
 
 
 def lgg_clause_sets(
-    a: frozenset[Clause] | set[Clause],
+    a: Collection[Clause],
     b: frozenset[Clause] | set[Clause],
 ) -> frozenset[Clause]:
     """Pair each clause of a with its distance-nearest clause of b (ties go to
@@ -176,9 +177,11 @@ class SaturationPolicy(Enum):
 
 # PAPER_TRACE saturation has one clause per choice of a literal from each rule.
 _SATURATION_CAP = 10_000
-# Literal pairs one clause lgg may build. Reducing the lgg costs about the
+# Literal pairs one clause lgg may build. Reduction runs theta-subsumption,
+# exponential in the worst case. On ground-heavy pairs it costs about the
 # cube of the pair count: 401 pairs (the lgg of two ground-policy
-# saturations over 20 background facts) take about 1 s on a 2-core VM.
+# saturations over 20 background facts) take about 1 s on a 2-core VM. Far
+# fewer can take a minute: the 26 pairs of a five-variable cycle body.
 _LGG_CAP = 420
 
 

@@ -180,20 +180,17 @@ def _extend(current: HornProgram, e: Literal, cfg: LearnerConfig) -> HornProgram
     """The shared uncovered-arrival step: saturate, generalize, retain the
     arrival as a fact if still needed, reduce. Every caller has already
     found e uncovered by `current`, so saturation does not ask again. The
-    prioritized learner restricts saturation to higher-priority atoms and
-    keeps its generalizations simple."""
+    prioritized learner keeps each clause simple with one filter, _below:
+    a saturation clause keeps e and the literals below e, and a definite
+    lgg keeps its head and the literals below its head."""
     prioritized = cfg.system is System.PRIORITIZED_GOLEM
     sigma = saturate(current, e, cfg.policy, cfg.depth_bound)
     if prioritized:
-        sigma = frozenset(_restrict_clause(c, e) for c in sigma)
-
-    hypothesis_clauses = frozenset(current.rules)
-    if hypothesis_clauses:
-        new = lgg_clause_sets(hypothesis_clauses, sigma)
-        if prioritized:
-            new = frozenset(_enforce_simplicity(c) for c in new)
-    else:
-        new = sigma
+        sigma = frozenset(_below(c, e) for c in sigma)
+    rules = current.rules
+    new = lgg_clause_sets(rules, sigma) if rules else sigma
+    if rules and prioritized:
+        new = frozenset(_below(c, c.head) if c.is_definite else c for c in new)
     kept = _keep_learned(new)
 
     candidate = current.with_clauses(kept)
@@ -202,19 +199,10 @@ def _extend(current: HornProgram, e: Literal, cfg: LearnerConfig) -> HornProgram
     return reduce_program(candidate, cfg.depth_bound)
 
 
-def _restrict_clause(c: Clause, e: Literal) -> Clause:
-    """Keep e itself plus literals whose atoms have priority over e."""
-    return Clause(
-        l for l in c.literals if (l.positive and l == e) or priority_precedes(l.atom(), e)
-    )
-
-
-def _enforce_simplicity(c: Clause) -> Clause:
-    """Drop body literals that do not precede the head (metric.is_simple)."""
-    if not c.is_definite:
-        return c
-    dropped = [l for l in c.negatives if not priority_precedes(l, c.head)]
-    return Clause(c.literals - set(dropped)) if dropped else c
+def _below(c: Clause, h: Literal) -> Clause:
+    """h and the literals of c that precede it (metric.priority_precedes),
+    of either sign: the restriction that keeps a pgolem clause simple."""
+    return Clause(l for l in c.literals if l is h or priority_precedes(l, h))
 
 
 def golem_step(run: _Run, e: Literal) -> tuple[HornProgram, Action, None]:

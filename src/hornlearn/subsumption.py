@@ -9,11 +9,14 @@ immediate-consequence step in `semantics`.
 `theta_subsumes` first rejects a pair on two necessary conditions that are
 plain set inclusions: every (sign, predicate, arity) of c occurs in d, and
 every ground literal of c is literally in d (theta fixes it). Only a pair
-that passes both is sorted and searched, so the witness is unchanged.
+that passes both is sorted and searched, so the witness is unchanged. The
+search takes c's literals with the fewest candidates in d first, so a
+clause's one head is matched before the assignments of its twin body.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Collection, Iterator, Sequence
 
 from .logic import (
@@ -93,14 +96,17 @@ def theta_subsumes(c: Clause, d: Clause) -> tuple[bool, Substitution | None]:
     """
     # The two rejection tests of the module docstring, before any sorting.
     # The set difference reuses the hashes the frozensets store.
-    d_keys = {(l.positive, l.pred_key) for l in d.literals}
+    d_keys = Counter((l.positive, l.pred_key) for l in d.literals)
     if any((l.positive, l.pred_key) not in d_keys for l in c.literals) or any(
         l.term.ground for l in c.literals - d.literals
     ):
         return False, None
-    # Most-constrained literals first (fewest variables) prunes early; the
-    # text tiebreak keeps the found witness deterministic.
-    c_lits = sorted(c.literals, key=lambda l: (len(term_variables(l.term)), literal_order(l)))
+    # Most-constrained literals first prunes early: fewest candidates in d,
+    # then fewest variables; the text tiebreak keeps the witness deterministic.
+    c_lits = sorted(
+        c.literals,
+        key=lambda l: (d_keys[l.positive, l.pred_key], len(term_variables(l.term)), literal_order(l)),
+    )
     d_lits = sorted(d.literals, key=literal_order)
     witness = next(substitutions(c_lits, [d_lits] * len(c_lits), {}), None)
     return witness is not None, witness

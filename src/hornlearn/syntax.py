@@ -284,7 +284,7 @@ def _renamed(literals: list[Literal]) -> tuple[tuple[int, ...], str]:
     return tuple(pattern), text
 
 
-_PERMUTE_BUDGET = 40320  # orderings tried before the (unreachable) fallback
+_PERMUTE_BUDGET = 40320  # 8!: orderings tried before the structural fallback
 
 
 def render_clause(c: Clause) -> str:

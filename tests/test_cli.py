@@ -15,6 +15,7 @@ from hornlearn import (
     parse_program,
     read_trace,
     render_literal,
+    render_program,
     run_stream,
     trace_text,
 )
@@ -65,6 +66,26 @@ def test_lgg_subcommand(tmp_path, capsys):
     code, out, _ = run(capsys, "lgg", str(f))
     assert code == 0
     assert out.strip() == "p(s(s(X0))) :- p(X0)."
+
+
+@pytest.mark.parametrize("twins", [3, 9])
+def test_lgg_of_a_clause_with_twin_body_literals_ends_in_seconds(tmp_path, twins):
+    # The lgg of a clause with itself is the clause. Reducing it asks
+    # theta-subsumption, whose search must match the one p literal before
+    # it tries every assignment of the interchangeable q literals; in a
+    # subprocess, so a search that does not end fails on the timeout.
+    xs = [f"X{i}" for i in range(1, twins + 1)]
+    clause = f"p({', '.join(xs)}) :- {', '.join(f'q({x})' for x in xs)}."
+    f = tmp_path / "twins.pl"
+    f.write_text(f"{clause}\n{clause}\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "hornlearn", "lgg", str(f)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=20,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == render_program(parse_program(clause)) + "\n"
 
 
 def test_lgg_requires_exactly_two_clauses(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import permutations
 
@@ -5,9 +6,11 @@ import pytest
 
 from hornlearn import (
     Action,
+    Clause,
     ExampleStream,
     HornProgram,
     LearnerConfig,
+    Literal,
     SaturationPolicy,
     System,
     config_for_stream,
@@ -15,15 +18,25 @@ from hornlearn import (
     parse_program,
     render_program,
     run_stream,
+    trace_text,
 )
 from hornlearn.cases import even_ascending_stream, even_atom, even_reordered_stream
 import hornlearn.syntax as syntax
-from hornlearn.learner import _enforce_simplicity, _keep_learned, _Run
-from hornlearn.metric import is_simple_program
+from hornlearn.learner import _below, _keep_learned, _Run
+from hornlearn.logic import Fn, Term
+from hornlearn.metric import priority_precedes
 from hornlearn.semantics import covers
 from hornlearn.subsumption import program_variant_equal
 
-from conftest import cumulative
+from conftest import (
+    SIG_BINARY,
+    SIG_UNARY,
+    cumulative,
+    random_atom,
+    random_clause,
+    random_definite_clause,
+    random_stream,
+)
 
 RULE_UP = "p(s(s(X0))) :- p(X0)."
 RULE_DOWN = "p(X0) :- p(s(s(X0)))."
@@ -286,23 +299,40 @@ def test_random_streams_stay_correct_under_pgolem(rng):
             assert rec.simple
 
 
+def oracle_subterms(t: Term) -> set[Term]:
+    """t and every term under it, by a plain recursive walk."""
+    out = {t}
+    for a in t.args if isinstance(t, Fn) else ():
+        out |= oracle_subterms(a)
+    return out
+
+
+def oracle_simple(program: HornProgram) -> bool:
+    """Every body atom's argument subterms occur among its head's."""
+    for c in program:
+        head = set().union(*map(oracle_subterms, c.head.args))
+        if any(not oracle_subterms(a) <= head for l in c.negatives for a in l.args):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("system", list(System), ids=lambda s: s.value)
 def test_every_record_reads_the_simplicity_of_its_own_program(system):
-    # A stage that returns the previous program node, and one that does
-    # not, must each read the simplicity of its own program.
-    from conftest import SIG_BINARY, SIG_UNARY, random_stream
-
+    # Each line's `simple` is its own program's, whether the stage kept the
+    # previous program node or built a new one.
     rng = random.Random(2026)
     reused = changed = 0
     for k in range(80):
         sig = SIG_UNARY if k % 2 else SIG_BINARY
         stream = random_stream(rng, sig, max_depth=4, max_arrivals=8)
         records = run_stream(stream, config_for_stream(stream, system))
-        for before, rec in zip([None] + records, records):
-            assert rec.simple == is_simple_program(rec.program), (stream, rec.stage)
-            if before is not None and rec.program is before.program:
+        lines = [json.loads(line) for line in trace_text(records).splitlines()]
+        assert len(lines) == len(records)
+        for i, (rec, line) in enumerate(zip(records, lines)):
+            assert line["simple"] is oracle_simple(rec.program), (stream, i)
+            if i and rec.program is records[i - 1].program:
                 reused += 1
-            elif before is not None and rec.simple != before.simple:
+            elif i and line["simple"] != lines[i - 1]["simple"]:
                 changed += 1
     # pgolem's snapshots are simple by construction, so only golem's change.
     assert reused > 50 and (changed > 10 or system is System.PRIORITIZED_GOLEM), (reused, changed)
@@ -330,8 +360,51 @@ def test_learned_clause_filters_render_no_canonical_text(monkeypatch):
     monkeypatch.setattr(syntax, "_canonical_text", lambda c: computed.append(c) or original(c))
     unrestricted, non_simple = syntax.parse_clauses("p(X, Y) :- q(X).\np(s(X)) :- p(X), q(Y).")
     assert _keep_learned(frozenset([unrestricted])) == set()
-    assert _enforce_simplicity(non_simple).literals == syntax.parse_clauses("p(s(X)) :- p(X).")[0].literals
+    assert _below(non_simple, non_simple.head).literals == syntax.parse_clauses("p(s(X)) :- p(X).")[0].literals
     assert computed == []
+
+
+def oracle_restrict_clause(c: Clause, e: Literal) -> Clause:
+    """Keep e itself plus literals whose atoms have priority over e."""
+    return Clause(
+        l for l in c.literals if (l.positive and l == e) or priority_precedes(l.atom(), e)
+    )
+
+
+def oracle_enforce_simplicity(c: Clause) -> Clause:
+    """Drop body literals that do not precede the head (metric.is_simple)."""
+    if not c.is_definite:
+        return c
+    dropped = [l for l in c.negatives if not priority_precedes(l, c.head)]
+    return Clause(c.literals - set(dropped)) if dropped else c
+
+
+@pytest.mark.parametrize("sig", [SIG_UNARY, SIG_BINARY], ids=["unary", "binary"])
+def test_below_equals_the_two_filters_it_replaced(sig):
+    # The saturation filter compared atoms and the lgg filter compared
+    # negative literals; _below compares literals of either sign, so the
+    # floors ask for negative literals both dropped and kept.
+    rng = random.Random(1729)
+    dropped = kept = 0
+    for k in range(400):
+        if k % 2:
+            c = random_definite_clause(rng, sig, 3, max_body=3)
+        else:
+            c = random_clause(rng, sig, 3, max_literals=4)
+        # The saturation case: h a ground arrival, often in the clause.
+        e = random_atom(rng, sig, 2)
+        if rng.random() < 0.5:
+            c = Clause(c.literals | {e})
+        cases = [(_below(c, e), oracle_restrict_clause(c, e))]
+        # The lgg case: h the clause's own head; other clauses pass through.
+        cases.append(
+            (_below(c, c.head) if c.is_definite else c, oracle_enforce_simplicity(c))
+        )
+        for got, want in cases:
+            assert got == want, (c, e)
+            dropped += any(l not in got.literals for l in c.negatives)
+            kept += any(not l.positive for l in got.literals)
+    assert dropped > 200 and kept > 200, (dropped, kept)
 
 
 @pytest.mark.parametrize("text", ["p(a, b).\np(b, a).\n", "p(a).\nq(a).\n"])
