@@ -287,8 +287,6 @@ def test_ground_atoms_policy_learns_chain_too():
 
 
 def test_random_streams_stay_correct_under_pgolem(rng):
-    from conftest import SIG_UNARY, random_stream
-
     for _ in range(25):
         stream = random_stream(rng, SIG_UNARY, max_depth=4, max_arrivals=6)
         cfg = config_for_stream(stream, System.PRIORITIZED_GOLEM)
@@ -418,10 +416,8 @@ def test_strict_priority_changes_no_program_sequence(rng, monkeypatch):
     # The pre-order read as strict (a != b and S(a) <= S(b)) by the restart
     # scan, with the selection sort it needed: equal-priority arrivals then
     # restarted, and the replay rebuilt the same programs.
-    from conftest import SIG_BINARY, SIG_UNARY, random_stream
     from hornlearn import learner
     from hornlearn.logic import literal_subterms
-    from hornlearn.metric import priority_precedes
 
     def old_priority_sorted(pending):
         remaining = list(dict.fromkeys(pending))
