@@ -138,7 +138,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         stream, System(args.system), SaturationPolicy(args.policy), args.depth,
         background=background,
     )
-    records = run_stream(ExampleStream(stream.arrivals[: args.stages]), cfg, background)
+    records = run_stream(ExampleStream(stream.arrivals[: args.stages]), cfg)
     if args.trace:
         Path(args.trace).write_text(trace_text(records), encoding="utf-8")
     remaining = len(stream) - len(records)

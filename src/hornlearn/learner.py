@@ -23,10 +23,10 @@ Two drivers share the same machinery:
   atoms and drop generalized body literals whose subterms do not occur in
   the head, so every snapshot is a simple program by construction.
 
-Both learners step one run state, built by run_stream from the config and
-the background and dead when it returns. Its stage records are the run's
-only history: the snapshot before stage j is record j - 1's program, or
-the background at stage 0. For pgolem it also holds the strictly_precedes
+Both learners step one run state, built by run_stream from the config alone
+(which holds the background) and dead when it returns. Its stage records
+are the run's only history: the snapshot before stage j is record j - 1's
+program, or the config's background at stage 0. For pgolem it also holds the strictly_precedes
 relation over arrival indices, each ordered pair tested once, from which
 the restart stage and the replay order are read; and a table from
 (program, arrival) to the program after that replay step, so a replay that
@@ -71,9 +71,14 @@ class System(Enum):
 
 @dataclass(frozen=True)
 class LearnerConfig:
+    """The one record of how a run is configured: its learner, saturation
+    policy, depth bound and the background the run starts from (stage 0's
+    snapshot), which the relative lgg works against."""
+
     depth_bound: int
     system: System = System.GOLEM
     policy: SaturationPolicy = SaturationPolicy.PAPER_TRACE
+    background: HornProgram = HornProgram()
 
 
 class Action(Enum):
@@ -214,9 +219,8 @@ def golem_step(run: _Run, e: Literal) -> tuple[HornProgram, Action, None]:
     # retained fact it is priority-below, equal priority included.
     swap_out = [f for f in current.facts if f.head != e and priority_precedes(e, f.head)]
     if swap_out:
-        current = reduce_program(
-            current.without_clauses(swap_out).with_clauses((fact(e),)), cfg.depth_bound
-        )
+        rotated = current.without_clauses(swap_out).with_clauses((fact(e),))
+        current = reduce_program(rotated, cfg.depth_bound)
     return current, Action.COVERED, None
 
 
@@ -233,23 +237,23 @@ def pgolem_step(run: _Run, e: Literal) -> tuple[HornProgram, Action, int | None]
 
 
 class _Run:
-    """One run of either learner: its arrivals and its stage records, and
-    everything a pgolem stage reads, each piece computed once.
+    """One run of either learner under one config: its arrivals and its
+    stage records, and everything a pgolem stage reads, each piece computed
+    once.
 
     `records[i]` is stage i's record, so the program before stage j is
-    `snapshot(j)`. `later[i]` lists the arrivals that arrival i strictly
-    precedes, and `latest[i]` is the latest arrival that strictly precedes
-    arrival i (-1 if none), both as arrival indices. They cover the arrivals
-    up to the last uncovered one: each ordered pair is tested once, when an
-    uncovered arrival first needs it. `steps` maps (program, arrival) to the
+    `snapshot(j)`, the config's background for j = 0. `later[i]` lists the
+    arrivals that arrival i strictly precedes, and `latest[i]` is the latest
+    arrival that strictly precedes arrival i (-1 if none), both as arrival
+    indices. They cover the arrivals up to the last uncovered one: each
+    ordered pair is tested once, when an uncovered arrival first needs it. `steps` maps (program, arrival) to the
     program after that replay step, covered or extended; both are
     deterministic, so a replay that reaches a step again reads it instead.
     golem reads none of the three.
     """
 
-    def __init__(self, cfg: LearnerConfig, background: HornProgram) -> None:
+    def __init__(self, cfg: LearnerConfig) -> None:
         self.cfg = cfg
-        self.background = background
         self.arrivals: list[Literal] = []
         self.records: list[StageRecord] = []
         self.later: list[list[int]] = []
@@ -258,7 +262,7 @@ class _Run:
 
     def snapshot(self, j: int) -> HornProgram:
         """The program before stage j."""
-        return self.records[j - 1].program if j else self.background
+        return self.records[j - 1].program if j else self.cfg.background
 
     def step(self, e: Literal) -> StageRecord:
         """Fold one arrival; its record is the run's next."""
@@ -346,12 +350,9 @@ class _Run:
         return program
 
 
-def run_stream(
-    stream: ExampleStream,
-    cfg: LearnerConfig,
-    background: HornProgram = HornProgram(),
-) -> list[StageRecord]:
-    """Fold the configured learner over the arrivals, one record per stage."""
+def run_stream(stream: ExampleStream, cfg: LearnerConfig) -> list[StageRecord]:
+    """Fold the configured learner over the arrivals, starting from the
+    config's background, one record per stage."""
     if not len(stream):
         raise ValueError("example stream is empty")
     deepest = stream.max_depth()
@@ -359,7 +360,7 @@ def run_stream(
         raise ValueError(
             f"depth bound {cfg.depth_bound} is below the deepest stream example ({deepest})"
         )
-    run = _Run(cfg, background)
+    run = _Run(cfg)
     for e in stream:
         run.step(e)
     return run.records
@@ -372,8 +373,11 @@ def config_for_stream(
     depth_bound: int | None = None,
     background: Iterable[Clause] = (),
 ) -> LearnerConfig:
-    """The default depth bound counts the background that run_stream will
-    start from, so no background clause falls outside the bounded base."""
+    """The config that runs the stream from the background. The default
+    depth bound counts that background, which the config holds, so the
+    bound and the program the run starts from always agree and no
+    background clause falls outside the bounded base."""
+    background = HornProgram(background)
     if depth_bound is None:
         depth_bound = default_depth_bound(stream.max_depth(), background)
-    return LearnerConfig(depth_bound=depth_bound, system=system, policy=policy)
+    return LearnerConfig(depth_bound, system, policy, background)

@@ -183,28 +183,28 @@ def test_pgolem_order_insensitive_over_prefix_permutations():
 
 
 # golem_step reads the program before its stage from the run, so these
-# tests step a run whose background is that program.
+# tests step a run whose config holds that program as its background.
 
 
 def test_golem_step_stage_zero_yields_unit_fact():
     cfg = LearnerConfig(depth_bound=8)
-    record = _Run(cfg, HornProgram()).step(even_atom(0))
+    record = _Run(cfg).step(even_atom(0))
     assert render_program(record.program) == fact_text(0)
     assert record.action is Action.EXTENDED
 
 
 def test_golem_step_covered_leaves_program_unchanged_without_swap_target():
     current = parse_program(fact_text(0) + "\n" + RULE_UP)
-    cfg = LearnerConfig(depth_bound=12)
-    record = _Run(cfg, current).step(even_atom(4))
+    cfg = LearnerConfig(depth_bound=12, background=current)
+    record = _Run(cfg).step(even_atom(4))
     assert record.program == current
     assert record.action is Action.COVERED
 
 
 def test_golem_step_covered_swaps_priority_lower_fact():
     current = parse_program(RULE_DOWN + "\n" + fact_text(10))
-    cfg = LearnerConfig(depth_bound=15)
-    record = _Run(cfg, current).step(even_atom(8))
+    cfg = LearnerConfig(depth_bound=15, background=current)
+    record = _Run(cfg).step(even_atom(8))
     assert record.action is Action.COVERED
     assert render_program(record.program) == RULE_DOWN + "\n" + fact_text(8)
 
@@ -215,7 +215,7 @@ def test_golem_rotates_a_fact_of_equal_priority():
     background = parse_program("p(b, a).\np(X, Y) :- p(Y, X).")
     stream = ExampleStream(parse_atom(a) for a in ("p(a, b)", "p(b, a)", "p(a, b)"))
     cfg = config_for_stream(stream, System.GOLEM, background=background)
-    records = run_stream(stream, cfg, background)
+    records = run_stream(stream, cfg)
     assert [r.action for r in records] == [Action.COVERED] * 3
     assert [render_program(r.program) for r in records] == [
         "p(X0, X1) :- p(X1, X0).\np(a, b).",
@@ -226,7 +226,7 @@ def test_golem_rotates_a_fact_of_equal_priority():
 
 def pgolem_run_after(arrivals, cfg: LearnerConfig) -> _Run:
     """A run stepped by hand through the arrivals, from the empty program."""
-    run = _Run(cfg, HornProgram())
+    run = _Run(cfg)
     for e in arrivals:
         run.step(e)
     return run
@@ -251,10 +251,26 @@ def test_pgolem_step_restart_picks_least_stage():
 def test_run_stream_respects_background():
     background = parse_program(fact_text(0) + "\n" + RULE_UP)
     stream = ExampleStream((even_atom(4), even_atom(6)))
-    cfg = LearnerConfig(depth_bound=12)
-    records = run_stream(stream, cfg, background)
+    cfg = LearnerConfig(depth_bound=12, background=background)
+    records = run_stream(stream, cfg)
     assert [r.action for r in records] == [Action.COVERED, Action.COVERED]
     assert records[-1].program == background
+
+
+def test_the_config_alone_fixes_the_bound_and_the_program_a_run_starts_from():
+    # The background's rule and fact are deeper than the stream, so the
+    # default bound reads them (7 + 5); at that bound the rule covers p(0).
+    s7 = "s(" * 7
+    background = parse_program(f"p(X) :- q({s7}X{')' * 7}).\nq({s7}0{')' * 7}).")
+    stream = ExampleStream((even_atom(0), even_atom(2)))
+    cfg = config_for_stream(stream, System.GOLEM, background=background)
+    assert (cfg.depth_bound, cfg.background) == (12, background)
+    records = run_stream(stream, cfg)
+    assert [r.action for r in records] == [Action.COVERED, Action.EXTENDED]
+    # A config built without a background starts from the empty program.
+    bare = LearnerConfig(depth_bound=cfg.depth_bound)
+    assert bare.background == HornProgram()
+    assert run_stream(stream, bare)[0].action is Action.EXTENDED
 
 
 def test_run_stream_rejects_shallow_depth_bound():

@@ -113,7 +113,7 @@ def oracle_reduce_clause(c: Clause) -> Clause:
 def pgolem_run(arrivals: list[Literal]) -> _Run:
     """A run state whose relation covers the arrivals, as `pgolem_step`
     leaves it at an uncovered last arrival; no stage is learned."""
-    run = _Run(LearnerConfig(1, System.PRIORITIZED_GOLEM), HornProgram())
+    run = _Run(LearnerConfig(1, System.PRIORITIZED_GOLEM))
     run.arrivals.extend(arrivals)
     run.relate()
     return run

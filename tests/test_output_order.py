@@ -27,7 +27,7 @@ from hornlearn.cases import even_ascending_stream, even_reordered_stream
 def fold(stream, background=HornProgram()):
     for system in System:
         cfg = config_for_stream(stream, system, background=background)
-        records = run_stream(stream, cfg, background)
+        records = run_stream(stream, cfg)
         w = default_window(len(records))
         report = convergence_report(records, frozenset(stream), w, cfg.depth_bound)
         sys.stdout.write(trace_text(records) + report.to_json() + "\n")

@@ -47,11 +47,11 @@ def subterm_set(atom) -> set:
     return out
 
 
-def reference_golem(stream: ExampleStream, cfg, background: HornProgram) -> list[StageRecord]:
+def reference_golem(stream: ExampleStream, cfg) -> list[StageRecord]:
     """golem from its definition, on its own snapshot list: a covered arrival
     replaces every other retained ground fact whose subterms include all of
     its own (the forgetful rotation), and an uncovered one extends."""
-    snapshots = [background]
+    snapshots = [cfg.background]
     records: list[StageRecord] = []
     for stage, e in enumerate(stream):
         program = snapshots[-1]
@@ -73,13 +73,13 @@ def reference_golem(stream: ExampleStream, cfg, background: HornProgram) -> list
     return records
 
 
-def reference_pgolem(stream: ExampleStream, cfg, background: HornProgram) -> list[StageRecord]:
+def reference_pgolem(stream: ExampleStream, cfg) -> list[StageRecord]:
     """pgolem with no stored relation and no step table: every restart asks
     the oracles for its stage and order, and the replay asks coverage and
     extends at every step."""
     records: list[StageRecord] = []
     for stage, e in enumerate(stream):
-        current = records[-1].program if records else background
+        current = records[-1].program if records else cfg.background
         restarted_from = None
         if learner.is_covered(current, e, cfg.depth_bound):
             program, action = current, Action.COVERED
@@ -89,7 +89,7 @@ def reference_pgolem(stream: ExampleStream, cfg, background: HornProgram) -> lis
             if j is None:
                 program, action = learner._extend(current, e, cfg), Action.EXTENDED
             else:
-                program = records[j - 1].program if j else background
+                program = records[j - 1].program if j else cfg.background
                 for a in oracle_priority_sorted(arrivals[j:] + [e]):
                     if not learner.is_covered(program, a, cfg.depth_bound):
                         program = learner._extend(program, a, cfg)
@@ -98,16 +98,16 @@ def reference_pgolem(stream: ExampleStream, cfg, background: HornProgram) -> lis
     return records
 
 
-def hand_stepped(stream: ExampleStream, cfg, background: HornProgram) -> list[StageRecord]:
+def hand_stepped(stream: ExampleStream, cfg) -> list[StageRecord]:
     """One run state stepped by hand, one returned record per stage."""
-    run = learner._Run(cfg, background)
+    run = learner._Run(cfg)
     return [run.step(e) for e in stream]
 
 
-def trace_bytes(fold, stream, cfg, background) -> bytes | tuple[type, str]:
+def trace_bytes(fold, stream, cfg) -> bytes | tuple[type, str]:
     """The trace as `learn --trace` writes it, or the refusal it ends with."""
     try:
-        records = fold(stream, cfg, background)
+        records = fold(stream, cfg)
     except ValueError as exc:
         return type(exc), str(exc)
     return trace_text(records).encode("utf-8")
@@ -150,8 +150,8 @@ def test_golem_traces_equal_the_reference_learner(rng):
     for stream, background in stream_pool(rng):
         for policy in SaturationPolicy:
             cfg = config_for_stream(stream, System.GOLEM, policy, background=background.clauses)
-            want = reference_golem(stream, cfg, background)
-            got = trace_bytes(run_stream, stream, cfg, background)
+            want = reference_golem(stream, cfg)
+            got = trace_bytes(run_stream, stream, cfg)
             assert got == trace_text(want).encode("utf-8"), (list(stream), background, policy)
             before = [background] + [rec.program for rec in want]
             rotated += sum(
@@ -182,9 +182,9 @@ def test_pgolem_traces_equal_the_reference_learner(rng, monkeypatch):
                 stream, System.PRIORITIZED_GOLEM, policy, background=background.clauses
             )
             before = work["asked"]
-            want = trace_bytes(reference_pgolem, stream, cfg, background)
+            want = trace_bytes(reference_pgolem, stream, cfg)
             reference_work, before = work["asked"] - before, work["asked"]
-            got = trace_bytes(run_stream, stream, cfg, background)
+            got = trace_bytes(run_stream, stream, cfg)
             assert got == want, (list(stream), background, policy)
             work["saved"] += reference_work - (work["asked"] - before)
             refused += not isinstance(got, bytes)
@@ -217,7 +217,7 @@ def test_strictly_precedes_is_asked_once_per_ordered_pair_of_arrivals(rng, monke
         for stream in streams:
             asked.clear()
             cfg = config_for_stream(stream, System.PRIORITIZED_GOLEM)
-            records = fold(stream, cfg, HornProgram())
+            records = fold(stream, cfg)
             restarted += any(r.action is Action.RESTARTED for r in records)
             n = len(stream)
             occurrences = Counter(stream)
@@ -234,11 +234,9 @@ def test_strictly_precedes_is_asked_once_per_ordered_pair_of_arrivals(rng, monke
 def test_stepping_pgolem_by_hand_gives_the_records_of_run_stream(rng):
     for stream, background in stream_pool(rng):
         cfg = config_for_stream(stream, System.PRIORITIZED_GOLEM, background=background.clauses)
-        got = hand_stepped(stream, cfg, background)
-        assert got == run_stream(stream, cfg, background), (list(stream), background)
-        assert trace_bytes(hand_stepped, stream, cfg, background) == trace_bytes(
-            run_stream, stream, cfg, background
-        )
+        got = hand_stepped(stream, cfg)
+        assert got == run_stream(stream, cfg), (list(stream), background)
+        assert trace_bytes(hand_stepped, stream, cfg) == trace_bytes(run_stream, stream, cfg)
 
 
 def test_each_run_stream_call_builds_one_run_that_dies_with_it(monkeypatch):
@@ -256,9 +254,9 @@ def test_each_run_stream_call_builds_one_run_that_dies_with_it(monkeypatch):
     for system in System:
         built.clear()
         cfg = config_for_stream(stream, system, background=background.clauses)
-        records = run_stream(stream, cfg, background)
+        records = run_stream(stream, cfg)
         gc.collect()
-        assert [args for args, _ in built] == [(cfg, background)], system
+        assert [args for args, _ in built] == [(cfg,)] and cfg.background is background, system
         assert built[0][1]() is None, system
         assert len(records) == len(stream)
 
@@ -296,7 +294,7 @@ def test_threads_folding_streams_get_their_single_thread_traces(system):
 
     def fold(stream):
         cfg = config_for_stream(stream, system)
-        return trace_bytes(run_stream, stream, cfg, HornProgram())
+        return trace_bytes(run_stream, stream, cfg)
 
     want = [fold(stream) for stream in streams]
     wrong = []
