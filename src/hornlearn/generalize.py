@@ -180,8 +180,10 @@ _SATURATION_CAP = 10_000
 # Literal pairs one clause lgg may build. Reduction runs theta-subsumption,
 # exponential in the worst case. On ground-heavy pairs it costs about the
 # cube of the pair count: 401 pairs (the lgg of two ground-policy
-# saturations over 20 background facts) take about 1 s on a 2-core VM. Far
-# fewer can take a minute: the 26 pairs of a five-variable cycle body.
+# saturations over 20 background facts) take about 1 s on a 2-core VM. The
+# search takes literals in connected order, so the 26 pairs of a
+# five-variable cycle body reduce in well under a second; the worst case
+# stays exponential, and far fewer pairs than the cap may still take long.
 _LGG_CAP = 420
 
 

@@ -246,10 +246,10 @@ class _Run:
     arrivals that arrival i strictly precedes, and `latest[i]` is the latest
     arrival that strictly precedes arrival i (-1 if none), both as arrival
     indices. They cover the arrivals up to the last uncovered one: each
-    ordered pair is tested once, when an uncovered arrival first needs it. `steps` maps (program, arrival) to the
-    program after that replay step, covered or extended; both are
-    deterministic, so a replay that reaches a step again reads it instead.
-    golem reads none of the three.
+    ordered pair is tested once, when an uncovered arrival first needs it.
+    `steps` maps (program, arrival) to the program after that replay step,
+    covered or extended; both are deterministic, so a replay that reaches a
+    step again reads it instead. golem reads none of the three.
     """
 
     def __init__(self, cfg: LearnerConfig) -> None:

@@ -11,7 +11,11 @@ plain set inclusions: every (sign, predicate, arity) of c occurs in d, and
 every ground literal of c is literally in d (theta fixes it). Only a pair
 that passes both is sorted and searched, so the witness is unchanged. The
 search takes c's literals with the fewest candidates in d first, so a
-clause's one head is matched before the assignments of its twin body.
+clause's one head is matched before the assignments of its twin body, and
+after the first literal it takes the first of that order that shares a
+variable with those already taken (the connected order of CSP-style
+subsumption, Maloberti & Sebag 2004), so a cyclic body is matched along its
+cycle. The worst case stays exponential.
 """
 
 from __future__ import annotations
@@ -103,10 +107,18 @@ def theta_subsumes(c: Clause, d: Clause) -> tuple[bool, Substitution | None]:
         return False, None
     # Most-constrained literals first prunes early: fewest candidates in d,
     # then fewest variables; the text tiebreak keeps the witness deterministic.
-    c_lits = sorted(
+    ranked = sorted(
         c.literals,
         key=lambda l: (d_keys[l.positive, l.pred_key], len(term_variables(l.term)), literal_order(l)),
     )
+    # Connected order: the next literal is the first ranked one that shares
+    # a variable with those taken, so the search never backtracks through
+    # independent assignments; with none, the first ranked one.
+    c_lits, seen = [], set()
+    while ranked:
+        i = next((k for k, l in enumerate(ranked) if seen & term_variables(l.term)), 0)
+        c_lits.append(ranked.pop(i))
+        seen.update(term_variables(c_lits[-1].term))
     d_lits = sorted(d.literals, key=literal_order)
     witness = next(substitutions(c_lits, [d_lits] * len(c_lits), {}), None)
     return witness is not None, witness

@@ -88,6 +88,39 @@ def test_lgg_of_a_clause_with_twin_body_literals_ends_in_seconds(tmp_path, twins
     assert done.stdout == render_program(parse_program(clause)) + "\n"
 
 
+CYCLE_4 = "p(a) :- e(X1, X2), e(X2, X3), e(X3, X4), e(X4, X1)."
+CYCLE_5 = "p(a) :- e(X1, X2), e(X2, X3), e(X3, X4), e(X4, X5), e(X5, X1)."
+GRID = "p(a) :- e(X1, X2), e(X2, X3), e(X1, X4), e(X4, X3), e(X3, X5), e(X4, X6), e(X6, X5)."
+
+
+@pytest.mark.parametrize(
+    "first,second,want",
+    [
+        (CYCLE_5, CYCLE_5, render_program(parse_program(CYCLE_5))),
+        (GRID, GRID, "p(a) :- e(X0, X1), e(X1, X2), e(X2, X3)."),
+        (CYCLE_4, CYCLE_5, None),
+    ],
+    ids=["5-cycle", "grid", "4-with-5-cycle"],
+)
+def test_lgg_of_cyclic_bodies_ends_in_seconds(tmp_path, first, second, want):
+    # Reducing these lggs asks theta-subsumption to match a cyclic body
+    # onto itself; a search that places a literal sharing no variable with
+    # those already matched backtracks through independent assignments for
+    # minutes. In a subprocess, so a search that does not end fails on the
+    # timeout.
+    f = tmp_path / "cycles.pl"
+    f.write_text(f"{first}\n{second}\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "hornlearn", "lgg", str(f)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=20,
+    )
+    assert done.returncode == 0, done.stderr
+    if want is not None:
+        assert done.stdout == want + "\n"
+
+
 def test_lgg_requires_exactly_two_clauses(tmp_path, capsys):
     f = tmp_path / "one.pl"
     f.write_text("p(0).\n")

@@ -61,8 +61,8 @@ SIGNATURES = [(SIG_UNARY, 3, 5), (SIG_BINARY, 2, 3)]
 
 def oracle_theta_subsumes(c: Clause, d: Clause):
     """The bare search, with no rejection, and theta_subsumes' literal orders
-    less its first key, a literal's candidate count in d: on these inputs
-    that key changes no witness."""
+    less its first key, a literal's candidate count in d, and less its
+    connected pass: on these inputs neither changes any witness."""
     c_lits = sorted(c.literals, key=lambda l: (len(term_variables(l.term)), literal_order(l)))
     d_lits = sorted(d.literals, key=literal_order)
     witness = next(substitutions(c_lits, [d_lits] * len(c_lits), {}), None)
