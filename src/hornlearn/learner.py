@@ -26,11 +26,12 @@ Two drivers share the same machinery:
 Both learners step one run state, built by run_stream from the config alone
 (which holds the background) and dead when it returns. Its stage records
 are the run's only history: the snapshot before stage j is record j - 1's
-program, or the config's background at stage 0. For pgolem it also holds the strictly_precedes
-relation over arrival indices, each ordered pair tested once, from which
-the restart stage and the replay order are read; and a table from
-(program, arrival) to the program after that replay step, so a replay that
-reaches a step again does not ask coverage or extend again.
+program, or the config's background at stage 0. For pgolem it also holds
+the strictly_precedes relation over arrival indices, each ordered pair
+tested once, from which the restart stage and the replay order are read;
+and a table from (program, arrival) to the program after that replay step,
+so a replay that reaches a step again does not ask coverage or extend
+again.
 
 Learned clauses are kept only if definite and range-restricted (head
 variables all occur in the body); degenerate generalizations such as

@@ -112,8 +112,9 @@ def theta_subsumes(c: Clause, d: Clause) -> tuple[bool, Substitution | None]:
         key=lambda l: (d_keys[l.positive, l.pred_key], len(term_variables(l.term)), literal_order(l)),
     )
     # Connected order: the next literal is the first ranked one that shares
-    # a variable with those taken, so the search never backtracks through
-    # independent assignments; with none, the first ranked one.
+    # a variable with those taken (the first ranked one if none does), so
+    # the search binds along shared variables instead of backtracking
+    # through assignments that do not constrain each other.
     c_lits, seen = [], set()
     while ranked:
         i = next((k for k, l in enumerate(ranked) if seen & term_variables(l.term)), 0)

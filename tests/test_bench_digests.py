@@ -6,7 +6,8 @@ streams and the first pool entry of 8 evenly spaced pgolem strata are folded
 and passed through `workloads.check` (trace digest plus paper property).
 Two of them are folded again with the bounded-model slot emptied before
 every query, which must change neither the trace nor the report. The
-tracer's hooks are run once, in a fresh process, against the names it wraps.
+tracer's hooks are run once, in a fresh process, against the names it wraps,
+and the worker once per workload, as the benchmark starts it.
 """
 
 import json
@@ -136,3 +137,21 @@ def test_the_benchmark_tracer_finds_what_it_wraps():
         if line.startswith("perfbench: not traced (missing): "):
             missing |= set(line.split(": ", 2)[2].split(", "))
     assert missing <= UNTRACED, missing
+
+
+@pytest.mark.parametrize("workload", sorted(wl.WORKLOADS))
+def test_the_benchmark_worker_folds_its_unit(workload):
+    # The worker as perfbench/run.py starts it: a fresh process with the
+    # hash seed pinned and the checkout's src/ on the path, one JSON job as
+    # its argument. A library call it makes that no longer fits (a renamed
+    # function, a changed signature) ends it with a traceback here.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(root / "src"))
+    job = {"workload": workload, "seed": 0, "trace": 0, "spans": None}
+    run = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "worker.py"), json.dumps(job)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    streams = json.loads(run.stdout.splitlines()[-1])["streams"]
+    assert streams and [s["error"] for s in streams] == [None] * len(streams), streams
