@@ -71,13 +71,17 @@ def _read(path: str) -> str:
 # Subcommands
 
 
-def cmd_distance(args: argparse.Namespace) -> int:
-    d = term_distance(parse_term(args.term1), parse_term(args.term2))
-    if args.format == "json":
-        print(json.dumps({"distance": str(d)}))
-    else:
-        print(d)
+def _emit(args: argparse.Namespace, json_text: str, *lines: str) -> int:
+    """The one printer of the --format subcommands: the JSON text under
+    --format json, each text line otherwise."""
+    for line in (json_text,) if args.format == "json" else lines:
+        print(line)
     return EXIT_OK
+
+
+def cmd_distance(args: argparse.Namespace) -> int:
+    d = str(term_distance(parse_term(args.term1), parse_term(args.term2)))
+    return _emit(args, json.dumps({"distance": d}), d)
 
 
 def cmd_lgg(args: argparse.Namespace) -> int:
@@ -86,11 +90,7 @@ def cmd_lgg(args: argparse.Namespace) -> int:
         raise ValueError(f"expected exactly two clauses, found {len(clauses)}")
     g = lgg_clauses(clauses[0], clauses[1])
     out = render_clause(g) if g.literals else "% empty (no common literals)"
-    if args.format == "json":
-        print(json.dumps({"lgg": out}))
-    else:
-        print(out)
-    return EXIT_OK
+    return _emit(args, json.dumps({"lgg": out}), out)
 
 
 def cmd_rlgg(args: argparse.Namespace) -> int:
@@ -100,32 +100,24 @@ def cmd_rlgg(args: argparse.Namespace) -> int:
     if depth is None:
         depth = default_depth_bound(literal_depth(example), background)
     if is_covered(background, example, depth):
-        if args.format == "json":
-            print(json.dumps({"clauses": [], "covered": True, "depthBound": depth}))
-        else:
-            print(f"% example {render_literal(example)} is already covered at depth {depth}")
-        return EXIT_OK
+        return _emit(
+            args, json.dumps({"clauses": [], "covered": True, "depthBound": depth}),
+            f"% example {render_literal(example)} is already covered at depth {depth}",
+        )
     clauses = saturate(background, example, SaturationPolicy(args.policy), depth)
     lines = sorted(render_clause(c) for c in clauses)
-    if args.format == "json":
-        print(json.dumps({"clauses": lines, "depthBound": depth}))
-    else:
-        for line in lines:
-            print(line)
-    return EXIT_OK
+    return _emit(args, json.dumps({"clauses": lines, "depthBound": depth}), *lines)
 
 
 def cmd_model(args: argparse.Namespace) -> int:
     program = parse_program(_read(args.program))
     model = least_model_bounded(program, args.depth).to_json_dict()
-    if args.format == "json":
-        print(json.dumps(model, indent=2))
-    else:
-        for a in model["atoms"]:
-            print(f"{a}.")
-        print(f"% {len(model['atoms'])} atom(s), depth bound {model['depthBound']}, "
-              f"truncated: {model['truncated']}")
-    return EXIT_OK
+    atoms = model["atoms"]
+    return _emit(
+        args, json.dumps(model, indent=2), *(f"{a}." for a in atoms),
+        f"% {len(atoms)} atom(s), depth bound {model['depthBound']}, "
+        f"truncated: {model['truncated']}",
+    )
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
@@ -309,12 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="exact distance between two terms")
     p.add_argument("term1")
     p.add_argument("term2")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("lgg", help="least general generalization of the two clauses in a file")
     p.add_argument("file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_lgg)
 
     p = sub.add_parser("rlgg", help="saturate an example against background knowledge")
@@ -322,13 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--example", required=True, help="ground atom, e.g. 'p(s(0))'")
     p.add_argument("--policy", choices=("paper", "ground"), default="paper")
     p.add_argument("--depth", type=int, default=None, help="depth bound (default: auto)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_rlgg)
 
     p = sub.add_parser("model", help="bounded least model of a program")
     p.add_argument("--program", required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_model)
 
     p = sub.add_parser("learn", help="run a learner over an example stream")
@@ -355,6 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", default="out", help="directory for trace and report files")
     p.set_defaults(func=cmd_reproduce)
 
+    # Declared last, so each --help lists it after the other options.
+    for name in ("distance", "lgg", "rlgg", "model"):
+        sub.choices[name].add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -379,7 +370,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
               file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -32,7 +32,8 @@ is monotone, so the fixpoint may start from the stored model, firing the
 added clauses over its atoms and then every rule on what they add. Anything
 else is built from empty. The slot is one immutable tuple, read once and
 replaced whole, so concurrent callers see an old entry or a new one, each
-true of its key. It lives only as long as the process.
+true of its key. It lives only as long as its program: the entry holds the
+program by weak reference, and the program's death empties the slot.
 
 The fixpoint also records the support set: the heads of one T_P step of the
 program's clauses other than ground facts over its model, dropped heads
@@ -59,6 +60,7 @@ _UNIVERSE_CAP keeps its cost bounded.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import product
@@ -192,10 +194,10 @@ def least_model_bounded(
 
 class _Entry(NamedTuple):
     """The model slot (module docstring); the model carries the bound. The
-    signature is the one the universe is built over, None when every clause
-    is range-restricted."""
+    program is held by weak reference (_forget). The signature is the one the
+    universe is built over, None when every clause is range-restricted."""
 
-    program: HornProgram
+    program: weakref.ref[HornProgram]
     signature: frozenset[tuple[str, int]] | None
     model: BoundedModel
     dropped: frozenset[Literal]
@@ -205,13 +207,22 @@ class _Entry(NamedTuple):
 _slot: _Entry | None = None
 
 
+def _forget(ref: weakref.ref[HornProgram]) -> None:
+    """The callback of the slot's weak reference to its program: when the
+    program dies, empty the slot if it still holds that reference. The slot
+    is read once; emptying an entry stored meanwhile costs one miss."""
+    global _slot
+    if getattr(_slot, "program", None) is ref:
+        _slot = None
+
+
 def _least_model(p: HornProgram, depth_bound: int, widen: Iterable[Literal] = ()) -> _Entry:
     """Every model query's way to the slot: check the bound and find the
     signature the universe is built over (module docstring), then a hit
     returns the slot; a slot whose program is a clause subset of p under the
-    same bound and signature is the base of a warm start; anything else
-    builds from empty. Only a miss builds the universe. The result replaces
-    the slot."""
+    same bound and signature is the base of a warm start; anything else,
+    a slot whose program has died included, builds from empty. Only a miss
+    builds the universe. The result replaces the slot."""
     global _slot
     if depth_bound < 1:
         raise ValueError("depth bound must be a positive integer")
@@ -219,20 +230,22 @@ def _least_model(p: HornProgram, depth_bound: int, widen: Iterable[Literal] = ()
     if not p.range_restricted:
         signature = p.signature() | term_signature(a for l in widen for a in l.args)
     base = _slot
+    held = base.program() if base is not None else None
     if (
-        base is None
+        held is None
         or base.model.depth_bound != depth_bound
         or base.signature != signature
-        or not base.program.clauses <= p.clauses
+        or not held.clauses <= p.clauses
     ):
         base = None
-    elif len(base.program) == len(p):
+    elif len(held) == len(p):
         return base
     universe: frozenset[Term] = frozenset()
     if signature is not None:
         _check_universe(signature, depth_bound, max(len(c.unbound_head_variables) for c in p))
         universe = bounded_universe(signature, depth_bound)
-    _slot = entry = _Entry(p, signature, *_fixpoint(p, depth_bound, universe, base))
+    model = _fixpoint(p, depth_bound, universe, base)
+    _slot = entry = _Entry(weakref.ref(p, _forget), signature, *model)
     return entry
 
 
@@ -240,17 +253,17 @@ def _fixpoint(
     p: HornProgram, depth_bound: int, universe: frozenset[Term], base: _Entry | None
 ) -> tuple[BoundedModel, frozenset[Literal], frozenset[Literal]]:
     """From empty, round 0 fires every clause on nothing, so only unit
-    clauses derive; from a base, round 0 fires the clauses the base lacks
-    over the base's atoms. Every later round fires the rules on the atoms
-    the previous round added. A head deeper than the bound is dropped and
-    counted once."""
+    clauses derive; from a base, whose program the caller holds, round 0
+    fires the clauses the base lacks over the base's atoms. Every later
+    round fires the rules on the atoms the previous round added. A head
+    deeper than the bound is dropped and counted once."""
     old: frozenset[Literal] = frozenset()
     clauses: Iterable[Clause]
     if base is None:
         new, dropped, support, clauses = old, set(), set(), p
     else:
         new, dropped, support = base.model.atoms, set(base.dropped), set(base.support)
-        clauses = p.clauses - base.program.clauses
+        clauses = p.clauses - base.program().clauses
     rules = p.rules
     # An atom's term counts the predicate node: depth_bound + 1 is a
     # literal depth of depth_bound.
@@ -333,7 +346,7 @@ def reduce_program(p: HornProgram, depth_bound: int) -> HornProgram:
                     clauses.remove(c)
     result = HornProgram(clauses)
     if entry is not None:
-        _slot = entry._replace(program=result)
+        _slot = entry._replace(program=weakref.ref(result, _forget))
     return result
 
 

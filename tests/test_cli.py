@@ -214,6 +214,70 @@ def test_model_json_format(tmp_path, capsys):
     }
 
 
+# The argv of each case of the --format subcommands, and the text of the
+# file that "{file}" names in it.
+FORMAT_CASES = {
+    "distance": (["distance", "s(s(0))", "f(s(0), a)"], None),
+    "lgg": (["lgg", "{file}"], "p(s(s(0))) :- p(0).\np(s(s(s(s(0))))) :- p(s(s(0))).\n"),
+    "lgg-empty": (["lgg", "{file}"], "p(a).\nq(b).\n"),
+    "rlgg-covered": (["rlgg", "--background", "{file}", "--example", "p(0)"], "p(0).\n"),
+    "rlgg-saturation": (
+        ["rlgg", "--background", "{file}", "--example", "p(s(s(s(s(0)))))"],
+        "p(0).\np(s(s(0))) :- p(0).\n",
+    ),
+    "model": (["model", "--program", "{file}", "--depth", "7"], CHAIN_UP),
+    "model-empty": (["model", "--program", "{file}", "--depth", "8"], CHAIN_DOWN),
+}
+
+
+def text_lines_of(argv: list[str], doc: dict) -> list[str]:
+    """The lines the text format prints, rebuilt from the JSON document (and,
+    for a covered example, the example on the command line). Each key read
+    is popped, so a key left over is one the text does not print."""
+    command = argv[0]
+    if command in ("distance", "lgg"):
+        return [doc.pop(command)]
+    if command == "rlgg":
+        depth, clauses = doc.pop("depthBound"), doc.pop("clauses")
+        if not doc.pop("covered", False):
+            return clauses
+        assert clauses == []
+        example = argv[argv.index("--example") + 1]
+        return [f"% example {example} is already covered at depth {depth}"]
+    atoms = doc.pop("atoms")
+    return [f"{a}." for a in atoms] + [
+        f"% {len(atoms)} atom(s), depth bound {doc.pop('depthBound')}, "
+        f"truncated: {doc.pop('truncated')}"
+    ]
+
+
+@pytest.mark.parametrize("case", list(FORMAT_CASES))
+def test_json_format_carries_exactly_what_the_text_format_prints(tmp_path, capsys, case):
+    argv, text = FORMAT_CASES[case]
+    if text is not None:
+        (tmp_path / "input.pl").write_text(text)
+    argv = [a.format(file=tmp_path / "input.pl") for a in argv]
+    code, plain, err = run(capsys, *argv)
+    assert code == 0 and not err and plain
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0 and not err
+    doc = json.loads(out)
+    assert plain == "".join(f"{line}\n" for line in text_lines_of(argv, doc))
+    assert doc == {}
+
+
+@pytest.mark.parametrize(
+    "command", ["distance", "lgg", "rlgg", "model", "learn", "analyze", "reproduce"]
+)
+def test_every_subcommand_help_exits_0_and_lists_format_where_it_applies(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert exit_.value.code == 0
+    assert out.startswith(f"usage: hornlearn {command} ")
+    assert ("--format" in out) == (command in ("distance", "lgg", "rlgg", "model"))
+
+
 def test_no_arguments_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main([])

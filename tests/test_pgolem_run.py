@@ -26,7 +26,6 @@ from hornlearn import (
     config_for_stream,
     learner,
     run_stream,
-    semantics,
     trace_text,
 )
 from hornlearn.cases import even_atom
@@ -274,9 +273,6 @@ def test_programs_built_in_a_replay_die_with_the_run(monkeypatch):
     stream = ExampleStream(even_atom(2 * k) for k in reversed(range(8)))
     records = run_stream(stream, config_for_stream(stream, System.PRIORITIZED_GOLEM))
     kept = {id(rec.program) for rec in records}
-    # The model slot keeps the last program it was asked about; it is
-    # module state of `semantics`, not of the run.
-    semantics._slot = None
     gc.collect()
     replay_only = [ref for ref in built if ref() is None or id(ref()) not in kept]
     assert len(replay_only) > 10

@@ -1,6 +1,8 @@
+import gc
 import random
 import sys
 import threading
+import weakref
 from itertools import product
 
 import pytest
@@ -518,6 +520,33 @@ def test_memo_shares_one_entry_across_signatures_when_no_universe_is_needed(mode
     assert model_memo["hit"] == hits + 2
 
 
+def test_the_slot_lives_only_as_long_as_its_program(model_memo):
+    # The predicates are this test's own, so no other node holds an atom of
+    # the model once the program and the model are dropped.
+    p = parse_program("slot_r(Y).\nslot_q(f(a, g(a))).")
+    model = least_model_bounded(p, 4)
+    atoms = [weakref.ref(a) for a in model.atoms]
+    del model
+    gc.collect()
+    assert semantics._slot is not None
+    assert len(least_model_bounded(p, 4).atoms) == len(atoms)
+    assert model_memo == {"cold": 1, "hit": 1}
+    del p
+    gc.collect()
+    assert semantics._slot is None
+    assert not [ref for ref in atoms if ref() is not None]
+    # reduce_program re-keys the slot to its result, which the slot then
+    # lives as long as.
+    chain = parse_program("slot_p(0).\nslot_p(s(s(X))) :- slot_p(X).\nslot_p(s(s(0))).")
+    result = reduce_program(chain, 7)
+    del chain
+    gc.collect()
+    assert len(result) == 2 and least_model_bounded(result, 7) is semantics._slot.model
+    del result
+    gc.collect()
+    assert semantics._slot is None
+
+
 def random_extension(rng: random.Random, sig, depth: int) -> list:
     """One to three random range-restricted definite clauses and ground
     facts to add to a program."""
@@ -550,7 +579,8 @@ def test_warm_and_inherited_models_equal_the_from_scratch_loop(model_memo, sig, 
             assert (model.atoms, model.truncated) == (fresh.atoms, fresh.truncated), p
             assert semantics._slot.support == oracle_support(p, universe, fresh.atoms), p
             truncating += fresh.truncated > 0
-            p = p.with_clauses(random_extension(rng, sig, depth))
+            # The slot lives as long as its program: hold it to warm-start.
+            held, p = p, p.with_clauses(random_extension(rng, sig, depth))
         if not p.range_restricted:
             continue
         result = reduce_program(p, bound)
